@@ -253,6 +253,33 @@ def _print_report_lines(reports: list):
               f"rel_err {r.rel_err:.3e} {tag}")
 
 
+def _run_checks(cfg: dict, compute, show=None, extra: dict | None = None,
+                summary: bool = False) -> int:
+    """The shared run of the report-writing commands.  compute(reports)
+    appends the check records; if it fails, the report file still gets
+    the records made so far and the error, and the error propagates.
+    show(reports) prints what precedes the per-record lines."""
+    report_path = _get(cfg, "report", "tricomi_report.json")
+    timing = _get(cfg, "timing", False)
+    reports: list = []
+    try:
+        compute(reports)
+    except BaseException as e:
+        _write_report_file(report_path, _finalize(reports, timing),
+                           {"error": f"{type(e).__name__}: {e}"})
+        raise
+    if show is not None:
+        show(reports)
+    reports = _finalize(reports, timing)
+    _write_report_file(report_path, reports, extra)
+    _print_report_lines(reports)
+    n_pass = sum(1 for r in reports if r.passed)
+    if summary:
+        print(f"suite {n_pass}/{len(reports)} checks passed")
+    print(f"report {report_path}")
+    return 0 if n_pass == len(reports) else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -318,11 +345,8 @@ def _cmd_verify(cfg: dict) -> int:
     u = parse_field(cfg["field"]) if cfg.get("field") is not None \
         else manufactured(dom, vanish_on=VANISH_AC_SIGMA)
     which = cfg["which"]
-    report_path = _get(cfg, "report", "tricomi_report.json")
-    timing = _get(cfg, "timing", False)
 
-    reports: list = []
-    try:
+    def compute(reports):
         if which == "step1":
             reports.append(ident.step1_residual(u, dom, qcfg))
         elif which == "step2":
@@ -347,15 +371,8 @@ def _cmd_verify(cfg: dict) -> int:
                 field=to_prefix(u), note=note,
                 sides={"value": val, "bound": -1e-9},
                 seconds=time.perf_counter() - t0))
-    except BaseException as e:
-        _write_report_file(report_path, [],
-                           {"error": f"{type(e).__name__}: {e}"})
-        raise
-    reports = _finalize(reports, timing)
-    _write_report_file(report_path, reports)
-    _print_report_lines(reports)
-    print(f"report {report_path}")
-    return 0 if all(r.passed for r in reports) else 1
+
+    return _run_checks(cfg, compute)
 
 
 def _scaling_reports(m1: int, m2: int, lams, pexp: float, u, qcfg,
@@ -383,19 +400,8 @@ def _cmd_scaling(cfg: dict) -> int:
     lams = _get(cfg, "lam", [0.5, 2.0])
     pexp = _get(cfg, "p", 4.0)
     u = parse_field(cfg["field"]) if cfg.get("field") is not None else _DEFAULT_BUMP
-    report_path = _get(cfg, "report", "tricomi_report.json")
-    timing = _get(cfg, "timing", False)
-    try:
-        reports = _scaling_reports(cfg["m1"], cfg["m2"], lams, pexp, u, qcfg,
-                                   to_prefix(u))
-    except BaseException as e:
-        _write_report_file(report_path, [], {"error": f"{type(e).__name__}: {e}"})
-        raise
-    reports = _finalize(reports, timing)
-    _write_report_file(report_path, reports)
-    _print_report_lines(reports)
-    print(f"report {report_path}")
-    return 0 if all(r.passed for r in reports) else 1
+    return _run_checks(cfg, lambda reports: reports.extend(_scaling_reports(
+        cfg["m1"], cfg["m2"], lams, pexp, u, qcfg, to_prefix(u))))
 
 
 def _hardy_reports(m1: int, m2: int, pq: ident.HardyParams, sweeps: int,
@@ -453,34 +459,27 @@ def _cmd_hardy(cfg: dict) -> int:
     qcfg = _quad_config(cfg)
     sweeps = _get(cfg, "sweeps", 100)
     seed = _get(cfg, "seed", 42)
-    report_path = _get(cfg, "report", "tricomi_report.json")
-    timing = _get(cfg, "timing", False)
-    try:
-        reports = _hardy_reports(cfg["m1"], cfg["m2"], pq, sweeps, seed, qcfg)
-    except BaseException as e:
-        _write_report_file(report_path, [], {"error": f"{type(e).__name__}: {e}"})
-        raise
-    consts = reports[0].sides
-    print(f"M_L {consts['M_L']}")
-    print(f"r {consts['r']}")
-    print(f"C_L_low {consts['C_L_low']}")
-    print(f"C_L_high {consts['C_L_high']}")
-    print(f"grid_sup {reports[0].lhs!r}")
-    if cfg.get("table"):
-        n = _get(cfg, "table_points", 100)
-        params = OperatorParams(cfg["m1"], cfg["m2"])
-        lines = ["x,GL"]
-        for i in range(n):
-            x = pq.y_c * (1.0 - (i + 0.5) / n)
-            lines.append("%.17g,%.17g" % (x, ident.hardy_GL(params, pq.y_c, x)))
-        with open(cfg["table"], "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"table {cfg['table']}")
-    reports = _finalize(reports, timing)
-    _write_report_file(report_path, reports)
-    _print_report_lines(reports)
-    print(f"report {report_path}")
-    return 0 if all(r.passed for r in reports) else 1
+
+    def show(reports):
+        consts = reports[0].sides
+        print(f"M_L {consts['M_L']}")
+        print(f"r {consts['r']}")
+        print(f"C_L_low {consts['C_L_low']}")
+        print(f"C_L_high {consts['C_L_high']}")
+        print(f"grid_sup {reports[0].lhs!r}")
+        if cfg.get("table"):
+            n = _get(cfg, "table_points", 100)
+            params = OperatorParams(cfg["m1"], cfg["m2"])
+            lines = ["x,GL"]
+            for i in range(n):
+                x = pq.y_c * (1.0 - (i + 0.5) / n)
+                lines.append("%.17g,%.17g" % (x, ident.hardy_GL(params, pq.y_c, x)))
+            with open(cfg["table"], "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            print(f"table {cfg['table']}")
+
+    return _run_checks(cfg, lambda reports: reports.extend(_hardy_reports(
+        cfg["m1"], cfg["m2"], pq, sweeps, seed, qcfg)), show=show)
 
 
 def _cmd_suite(cfg: dict) -> int:
@@ -491,8 +490,6 @@ def _cmd_suite(cfg: dict) -> int:
         raise ValueError("anchor magnitude must be nonzero")
     qcfg = _quad_config(cfg)
     seed = _get(cfg, "seed", 42)
-    report_path = _get(cfg, "report", "tricomi_report.json")
-    timing = _get(cfg, "timing", False)
 
     domains = []
     skipped = {}
@@ -506,8 +503,7 @@ def _cmd_suite(cfg: dict) -> int:
             f"no domain variant admits (m1, m2) = ({m1}, {m2}); "
             "each variant needs m1 odd, and omega1 needs m2 divisible by 4")
 
-    reports: list = []
-    try:
+    def compute(reports):
         for dom in domains:
             t0 = time.perf_counter()
             r = divergence_selftest(dom, qcfg)
@@ -537,26 +533,18 @@ def _cmd_suite(cfg: dict) -> int:
                                         to_prefix(_DEFAULT_BUMP)))
         reports.extend(_hardy_reports(m1, m2, ident.HardyParams(), 100, seed,
                                       qcfg))
-    except BaseException as e:
-        _write_report_file(report_path, _finalize(reports, timing),
-                           {"error": f"{type(e).__name__}: {e}"})
-        raise
+        reports.sort(key=lambda r: (r.variant, r.identity, r.f, r.field, r.note))
+
+    def show(reports):
+        for name, why in skipped.items():
+            print(f"skipped {name}: {why}")
 
     params = OperatorParams(m1, m2)
     extra = {"critical_exponent": str(critical_exponent(params)),
              "supercritical_threshold": str(supercritical_threshold(params))}
     if skipped:
         extra["skipped_variants"] = skipped
-        for name, why in skipped.items():
-            print(f"skipped {name}: {why}")
-    reports = _finalize(reports, timing)
-    reports.sort(key=lambda r: (r.variant, r.identity, r.f, r.field, r.note))
-    _write_report_file(report_path, reports, extra)
-    _print_report_lines(reports)
-    n_pass = sum(1 for r in reports if r.passed)
-    print(f"suite {n_pass}/{len(reports)} checks passed")
-    print(f"report {report_path}")
-    return 0 if n_pass == len(reports) else 1
+    return _run_checks(cfg, compute, show=show, extra=extra, summary=True)
 
 
 _DISPATCH = {

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -130,12 +131,6 @@ class ParametricArc:
         return (np.asarray(xp) - xm) / (2 * h), (np.asarray(yp) - ym) / (2 * h)
 
 
-def _odd_root(v, k: int):
-    # real k-th root for odd k, sign-preserving
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.abs(v) ** (1.0 / k)
-
-
 def _quiet(fn):
     # chart derivatives can hit 0**negative exactly at corner parameters;
     # callers never use those values (CornerPoint is raised first)
@@ -176,7 +171,7 @@ class DomainSpec:
     params: OperatorParams
     anchor: float
     arc: EllipticArc | ParametricArc | None = None
-    _apex: Point = dc_field(init=False, repr=False, compare=False)
+    apex: Point = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_admissible(self.params, self.variant.value)
@@ -192,47 +187,38 @@ class DomainSpec:
                 raise DomainError("omega4's sigma is the segment x = 0; no arc")
         elif self.arc is None:
             object.__setattr__(self, "arc", default_arc(v, self.anchor))
+        object.__setattr__(self, "apex", _apex_closed_form(v, self.params, self.anchor))
         self._validate_arc()
-        object.__setattr__(self, "_apex", _apex_closed_form(v, self.params, self.anchor))
 
     def _validate_arc(self):
         if self.arc is None:
             return
         a_pt, b_pt = endpoints(self)
-        start, end = _sigma_traversal(self.variant, a_pt, b_pt)
-        if isinstance(self.arc, EllipticArc):
-            sa, sb = self.semi_minor_endpoint_check()
-            for got, want in ((sa, start), (sb, end)):
-                if abs(got[0] - want.x) > 1e-14 or abs(got[1] - want.y) > 1e-14:
-                    raise DomainError(
-                        f"elliptic arc endpoints {sa}, {sb} must hit "
-                        f"{start} and {end}")
-        else:
-            sa = self.arc.fn(self.arc.t_lo)
-            sb = self.arc.fn(self.arc.t_hi)
-            for got, want in ((sa, start), (sb, end)):
-                if abs(float(got[0]) - want.x) > 1e-9 or abs(float(got[1]) - want.y) > 1e-9:
-                    raise DomainError(
-                        f"parametric arc endpoints {sa}, {sb} must hit "
-                        f"{start} and {end} (positive sigma traversal)")
+        # sigma runs A' -> B' on omega2 and from B to A elsewhere
+        start, end = (a_pt, b_pt) if self.variant is Variant.OMEGA2 else (b_pt, a_pt)
+        sigma = _sigma(self)
+        x, y, _, _ = sigma.fn(np.array([sigma.lo, sigma.hi]))
+        kind = "elliptic" if isinstance(self.arc, EllipticArc) else "parametric"
+        tol = 1e-14 * max(1.0, *self.arc.semi_axes) if kind == "elliptic" else 1e-9
+        for got_x, got_y, want in zip(x, y, (start, end)):
+            if abs(float(got_x) - want.x) > tol or abs(float(got_y) - want.y) > tol:
+                raise DomainError(
+                    f"{kind} arc endpoints ({x[0]}, {y[0]}), ({x[1]}, {y[1]}) "
+                    f"must hit {start} and {end} (positive sigma traversal)")
+        if kind == "parametric":
+            *_, jac = _fan(self, np.linspace(sigma.lo, sigma.hi, 1025))
+            if np.min(jac) < -1e-12 * np.max(np.abs(jac)):
+                raise DomainError(
+                    f"the cap fan Jacobian (p - m) x p' from the chord midpoint "
+                    f"m ranges over [{np.min(jac):.3g}, {np.max(jac):.3g}]; the "
+                    "arc folds or turns clockwise about m")
 
-    def semi_minor_endpoint_check(self):
-        # the half-ellipse's own endpoints in positive traversal order
-        cx, cy = self.arc.center.x, self.arc.center.y
-        a, _ = self.arc.semi_axes
-        if self.variant is Variant.OMEGA1:
-            return (cx + a, cy), (cx - a, cy)   # B then A
-        if self.variant is Variant.OMEGA2:
-            return (cx + a, cy), (cx - a, cy)   # A' then B'
-        b = self.arc.semi_axes[1]
-        return (cx, cy + b), (cx, cy - b)       # B'' then A''
+    # the chart interface the quadrature grids are built from
+    def area_charts(self) -> list[AreaChart]:
+        return area_charts(self)
 
-    @property
-    def apex(self) -> Point:
-        fresh = _apex_closed_form(self.variant, self.params, self.anchor)
-        if abs(fresh.x - self._apex.x) > 1e-14 or abs(fresh.y - self._apex.y) > 1e-14:
-            raise DomainError("cached apex no longer matches its closed form")
-        return self._apex
+    def boundary_charts(self, graded: bool = True) -> list[CurveChart]:
+        return boundary_charts(self, graded)
 
 
 def omega1(m1: int, m2: int, x0: float, arc=None) -> DomainSpec:
@@ -258,15 +244,6 @@ def endpoints(domain: DomainSpec) -> tuple[Point, Point]:
     return Point(0.0, 2.0 * domain.anchor), Point(0.0, 0.0)
 
 
-def _sigma_traversal(variant: Variant, a_pt: Point, b_pt: Point) -> tuple[Point, Point]:
-    # (start, end) of sigma in the positive boundary loop
-    if variant is Variant.OMEGA1:
-        return b_pt, a_pt
-    if variant is Variant.OMEGA2:
-        return a_pt, b_pt
-    return b_pt, a_pt
-
-
 def apex(domain: DomainSpec) -> Point:
     return domain.apex
 
@@ -282,122 +259,152 @@ def starlike_form(p: Point, dp: Vec2, coeffs: Coefficients) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-variant constants and charts
+# the boundary pieces: one closed-form table per variant
 
-class _Geo:
-    """Closed-form curve data for one domain."""
+@dataclass
+class CurveChart:
+    curve: BoundaryCurveId
+    name: str
+    lo: float
+    hi: float
+    fn: Callable  # vectorized tau -> (x, y, dx/dtau, dy/dtau)
 
-    def __init__(self, domain: DomainSpec):
-        self.domain = domain
-        self.params = domain.params
-        self.co = coefficients(domain.params)
-        self.c1, self.c2 = self.co.c1, self.co.c2
-        self.k = (domain.params.m2 + 2) // 2
-        self.rho = self.c2 / self.c1            # (m2+2)/(m1+2)
-        self.apex = domain.apex
-        v = domain.variant
-        if v in (Variant.OMEGA1, Variant.OMEGA2):
-            self.two_x0_k = (2.0 * domain.anchor) ** self.k
-            # graded parameter scale: y = -tau^(2k) with tau in [0, T]
-            self.T = (-self.apex.y) ** (1.0 / (2 * self.k))
-            self.bc_coef = self.rho ** (1.0 / self.k)
-        else:
-            self.bigk = (-2.0 * domain.anchor) ** (self.c1 / 2.0)
-            self.S = self.apex.x ** (1.0 / self.c1)   # x = s^c1 on BC''
-            self.bc_ycoef = (1.0 / self.rho) ** (2.0 / self.c1)
 
-    # --- natural-parameter curves -----------------------------------------
+@dataclass
+class AreaChart:
+    name: str
+    fn: Callable  # vectorized (U, V) in [0,1]^2 -> (X, Y, jacobian >= 0)
 
-    def ac_xy(self, s):
-        v = self.domain.variant
-        if v is Variant.OMEGA1:
-            g = self.two_x0_k + self.rho * (-np.asarray(s, float)) ** (self.c1 / 2.0)
-            return _odd_root(g, self.k), np.asarray(s, float)
-        if v is Variant.OMEGA2:
-            g = self.two_x0_k - self.rho * (-np.asarray(s, float)) ** (self.c1 / 2.0)
-            return g ** (1.0 / self.k), np.asarray(s, float)
-        x = np.asarray(s, float)
-        base = self.bigk - (1.0 / self.rho) * x ** self.k
-        return x, -(base ** (2.0 / self.c1))
 
-    def bc_xy(self, s):
-        v = self.domain.variant
-        if v is Variant.OMEGA1:
-            g = -self.rho * (-np.asarray(s, float)) ** (self.c1 / 2.0)
-            return _odd_root(g, self.k), np.asarray(s, float)
-        if v is Variant.OMEGA2:
-            g = self.rho * (-np.asarray(s, float)) ** (self.c1 / 2.0)
-            return g ** (1.0 / self.k), np.asarray(s, float)
-        x = np.asarray(s, float)
-        return x, -self.bc_ycoef * x ** (2.0 * self.k / self.c1)
+@dataclass(frozen=True)
+class _Piece:
+    """A boundary piece s -> (x, y, dx/ds, dy/ds) on [lo, hi]; orient is +1
+    when increasing s runs along the positive loop and -1 against it."""
 
-    @_quiet
-    def ac_dxy(self, s):
-        # derivative wrt the natural parameter (y for omega1/2, x for omega3/4)
-        v = self.domain.variant
-        m1 = self.params.m1
-        if v is Variant.OMEGA1:
-            y = np.asarray(s, float)
-            g = self.two_x0_k + self.rho * (-y) ** (self.c1 / 2.0)
-            dx = -np.abs(g) ** (1.0 / self.k - 1.0) * (-y) ** (m1 / 2.0)
-            return dx, np.ones_like(y)
-        if v is Variant.OMEGA2:
-            y = np.asarray(s, float)
-            g = self.two_x0_k - self.rho * (-y) ** (self.c1 / 2.0)
-            dx = g ** (1.0 / self.k - 1.0) * (-y) ** (m1 / 2.0)
-            return dx, np.ones_like(y)
-        x = np.asarray(s, float)
-        base = self.bigk - (1.0 / self.rho) * x ** self.k
-        dy = x ** (self.k - 1) * base ** (2.0 / self.c1 - 1.0)
-        return np.ones_like(x), dy
+    fn: Callable
+    lo: float
+    hi: float
+    orient: int
 
-    @_quiet
-    def bc_dxy(self, s):
-        v = self.domain.variant
-        m1 = self.params.m1
-        if v is Variant.OMEGA1:
-            y = np.asarray(s, float)
-            g = -self.rho * (-y) ** (self.c1 / 2.0)
-            dx = np.abs(g) ** (1.0 / self.k - 1.0) * (-y) ** (m1 / 2.0)
-            return dx, np.ones_like(y)
-        if v is Variant.OMEGA2:
-            y = np.asarray(s, float)
-            g = self.rho * (-y) ** (self.c1 / 2.0)
-            dx = -(g ** (1.0 / self.k - 1.0)) * (-y) ** (m1 / 2.0)
-            return dx, np.ones_like(y)
-        x = np.asarray(s, float)
-        p = 2.0 * self.k / self.c1
-        dy = -self.bc_ycoef * p * x ** (p - 1.0)
-        return np.ones_like(x), dy
+    def chart(self, curve: BoundaryCurveId) -> CurveChart:
+        """The piece as a positively oriented chart on the same interval."""
+        if self.orient > 0:
+            return CurveChart(curve, curve.value, self.lo, self.hi, self.fn)
 
-    def sigma_xy(self, s):
-        arc = self.domain.arc
-        v = self.domain.variant
-        s = np.asarray(s, float)
-        if v is Variant.OMEGA4:
-            return np.zeros_like(s), -s
-        if isinstance(arc, ParametricArc):
-            x, y = arc.fn(s)
-            return np.asarray(x, float), np.asarray(y, float)
+        def reversed_fn(tau):
+            x, y, dx, dy = self.fn(self.lo + self.hi - np.asarray(tau, float))
+            return x, y, -dx, -dy
+
+        return CurveChart(curve, curve.value, self.lo, self.hi, reversed_fn)
+
+
+class _Table(NamedTuple):
+    pieces: dict      # AC, BC -> _Piece in the graded parameter w
+    axis: int         # the coordinate that grades both curves: 0 = x, 1 = y
+    axis_sign: int    # sign of d(that coordinate)/dw
+    to_w: Callable    # inverse grading: that coordinate -> w
+
+
+@lru_cache(maxsize=64)
+def _characteristics(domain: DomainSpec) -> _Table:
+    """AC and BC in closed form in the graded parameter w: y = -w^(2k) on
+    omega1/omega2 and x = w^c1 on omega3/omega4, which turns the half
+    powers at the parabolic endpoints into polynomials in w."""
+    co = coefficients(domain.params)
+    c1, c2 = co.c1, co.c2
+    k = (domain.params.m2 + 2) // 2
+    rho = c2 / c1                            # (m2+2)/(m1+2)
+
+    if domain.variant in (Variant.OMEGA1, Variant.OMEGA2):
+        side = -1.0 if domain.variant is Variant.OMEGA1 else 1.0   # sign of x
+        two_x0_k = (2.0 * domain.anchor) ** k
+        bc_coef = rho ** (1.0 / k)
+
+        # x^k = (2 x0)^k - side * rho * (-y)^(c1/2)
+        def ac(w):
+            w = np.asarray(w, float)
+            g = two_x0_k - side * rho * w ** (k * c1)
+            return (np.sign(g) * np.abs(g) ** (1.0 / k), -(w ** (2 * k)),   # odd root
+                    -side * c2 * np.abs(g) ** (1.0 / k - 1.0) * w ** (k * c1 - 1),
+                    -2.0 * k * w ** (2 * k - 1))
+
+        # x = side * rho^(1/k) * (-y)^(c1/(2k)), a trajectory of the flow
+        def bc(w):
+            w = np.asarray(w, float)
+            return (side * bc_coef * w ** c1, -(w ** (2 * k)),
+                    side * c1 * bc_coef * w ** (c1 - 1),
+                    -2.0 * k * w ** (2 * k - 1))
+
+        w_max = (-domain.apex.y) ** (1.0 / (2 * k))
+        # omega1 runs A -> C -> B, omega2 runs B' -> C' -> A'
+        pieces = {BoundaryCurveId.AC: _Piece(_quiet(ac), 0.0, w_max, -int(side)),
+                  BoundaryCurveId.BC: _Piece(_quiet(bc), 0.0, w_max, int(side))}
+        return _Table(pieces, 1, -1, lambda y: (-y) ** (1.0 / (2 * k)))
+
+    bigk = (-2.0 * domain.anchor) ** (c1 / 2.0)
+    bc_ycoef = (1.0 / rho) ** (2.0 / c1)
+
+    # (-y)^(c1/2) = (-2 y0)^(c1/2) - x^k / rho
+    def ac(w):
+        w = np.asarray(w, float)
+        base = bigk - (1.0 / rho) * w ** (k * c1)
+        return (w ** c1, -(base ** (2.0 / c1)), c1 * w ** (c1 - 1),
+                c1 * base ** (2.0 / c1 - 1.0) * w ** (k * c1 - 1))
+
+    # y = -rho^(-2/c1) * x^(2k/c1), a trajectory of the flow
+    def bc(w):
+        w = np.asarray(w, float)
+        return (w ** c1, -bc_ycoef * w ** (2 * k), c1 * w ** (c1 - 1),
+                -2.0 * k * bc_ycoef * w ** (2 * k - 1))
+
+    w_max = domain.apex.x ** (1.0 / c1)
+    # A'' -> C'' along AC'', then C'' -> B'' along BC''
+    pieces = {BoundaryCurveId.AC: _Piece(_quiet(ac), 0.0, w_max, 1),
+              BoundaryCurveId.BC: _Piece(_quiet(bc), 0.0, w_max, -1)}
+    return _Table(pieces, 0, 1, lambda x: x ** (1.0 / c1))
+
+
+def _sigma(domain: DomainSpec) -> _Piece:
+    """sigma in its own parameter, traversed positively."""
+    arc = domain.arc
+    lo, hi = natural_range(domain, BoundaryCurveId.SIGMA)
+    if arc is None:
+        # omega4: the segment x = 0 from B'' down to A''
+        def fn(s):
+            s = np.asarray(s, float)
+            return np.zeros_like(s), -s, np.zeros_like(s), -np.ones_like(s)
+    elif isinstance(arc, ParametricArc):
+        def fn(s):
+            s = np.asarray(s, float)
+            return tuple(np.asarray(v, float) for v in (*arc.fn(s), *arc.deriv(s)))
+    else:
         cx, cy = arc.center.x, arc.center.y
         a, b = arc.semi_axes
-        return cx + a * np.cos(s), cy + b * np.sin(s)
 
-    def sigma_dxy(self, s):
-        arc = self.domain.arc
-        v = self.domain.variant
+        def fn(s):
+            s = np.asarray(s, float)
+            return cx + a * np.cos(s), cy + b * np.sin(s), -a * np.sin(s), b * np.cos(s)
+    return _Piece(fn, lo, hi, 1)
+
+
+def _natural(domain: DomainSpec, curve: BoundaryCurveId) -> _Piece:
+    """A piece in its natural parameter: y on the omega1/omega2
+    characteristics, x on the omega3/omega4 ones, the arc parameter on
+    sigma.  Characteristics go through the inverse grading."""
+    if curve is BoundaryCurveId.SIGMA:
+        return _sigma(domain)
+    table = _characteristics(domain)
+    graded, i = table.pieces[curve], table.axis
+
+    def fn(s):
         s = np.asarray(s, float)
-        if v is Variant.OMEGA4:
-            return np.zeros_like(s), -np.ones_like(s)
-        if isinstance(arc, ParametricArc):
-            dx, dy = arc.deriv(s)
-            return np.asarray(dx, float), np.asarray(dy, float)
-        a, b = arc.semi_axes
-        return -a * np.sin(s), b * np.cos(s)
+        p = list(graded.fn(table.to_w(s)))
+        p[i] = s                 # the natural coordinate, exactly
+        d = p[2 + i]             # chain rule: d/ds = (d/dw) / (ds/dw)
+        return p[0], p[1], p[2] / d, p[3] / d
 
-
-def _geo(domain: DomainSpec) -> _Geo:
-    return _Geo(domain)
+    lo, hi = natural_range(domain, curve)
+    return _Piece(_quiet(fn), lo, hi, graded.orient * table.axis_sign)
 
 
 def natural_range(domain: DomainSpec, curve: BoundaryCurveId) -> tuple[float, float]:
@@ -417,47 +424,29 @@ def natural_range(domain: DomainSpec, curve: BoundaryCurveId) -> tuple[float, fl
     return 0.0, domain.apex.x
 
 
-# natural parameter runs along (+1) or against (-1) the positive loop
-_ORIENT = {
-    Variant.OMEGA1: {BoundaryCurveId.AC: -1, BoundaryCurveId.BC: +1, BoundaryCurveId.SIGMA: +1},
-    Variant.OMEGA2: {BoundaryCurveId.AC: +1, BoundaryCurveId.BC: -1, BoundaryCurveId.SIGMA: +1},
-    Variant.OMEGA3: {BoundaryCurveId.AC: +1, BoundaryCurveId.BC: -1, BoundaryCurveId.SIGMA: +1},
-    Variant.OMEGA4: {BoundaryCurveId.AC: +1, BoundaryCurveId.BC: -1, BoundaryCurveId.SIGMA: +1},
-}
-
-
-def _curve_fns(geo: _Geo, curve: BoundaryCurveId):
-    if curve is BoundaryCurveId.AC:
-        return geo.ac_xy, geo.ac_dxy
-    if curve is BoundaryCurveId.BC:
-        return geo.bc_xy, geo.bc_dxy
-    return geo.sigma_xy, geo.sigma_dxy
+def _in_range(domain: DomainSpec, curve: BoundaryCurveId, s: float,
+              slack: float = 1e-12, corner: str = "") -> float:
+    # s clamped to the natural range; when corner names a quantity, s must
+    # also stay off the corner parameters where that quantity is undefined
+    lo, hi = natural_range(domain, curve)
+    scale = max(1.0, hi - lo)
+    if s < lo - slack * scale or s > hi + slack * scale:
+        raise OutOfRange(f"parameter {s} outside [{lo}, {hi}] for {curve.value}")
+    if corner and (s - lo <= 1e-13 * scale or hi - s <= 1e-13 * scale):
+        raise CornerPoint(f"{corner} undefined at corner parameter {s} of {curve.value}")
+    return min(max(s, lo), hi)
 
 
 def curve_point(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> Point:
-    lo, hi = natural_range(domain, curve)
-    slack = 1e-12 * max(1.0, hi - lo)
-    if s < lo - slack or s > hi + slack:
-        raise OutOfRange(f"parameter {s} outside [{lo}, {hi}] for {curve.value}")
-    s = min(max(s, lo), hi)
-    xy, _ = _curve_fns(_Geo(domain), curve)
-    x, y = xy(s)
+    x, y, _, _ = _natural(domain, curve).fn(_in_range(domain, curve, s))
     return Point(float(x), float(y))
 
 
 def outward_normal(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> Vec2:
-    lo, hi = natural_range(domain, curve)
-    slack = 1e-12 * max(1.0, hi - lo)
-    if s < lo - slack or s > hi + slack:
-        raise OutOfRange(f"parameter {s} outside [{lo}, {hi}] for {curve.value}")
-    eps = 1e-13 * max(1.0, hi - lo)
-    if s - lo <= eps or hi - s <= eps:
-        raise CornerPoint(f"normal undefined at corner parameter {s} of {curve.value}")
-    geo = _Geo(domain)
-    _, dxy = _curve_fns(geo, curve)
-    dx, dy = dxy(s)
-    orient = _ORIENT[domain.variant][curve]
-    tx, ty = orient * float(dx), orient * float(dy)
+    s = _in_range(domain, curve, s, corner="normal")
+    piece = _natural(domain, curve)
+    _, _, dx, dy = piece.fn(s)
+    tx, ty = piece.orient * float(dx), piece.orient * float(dy)
     nx, ny = ty, -tx
     nrm = math.hypot(nx, ny)
     if nrm == 0.0 or not math.isfinite(nrm):
@@ -478,265 +467,88 @@ def char_ode_residual_at(params: OperatorParams, variant: Variant,
 def char_ode_residual(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> float:
     if curve is BoundaryCurveId.SIGMA:
         raise DomainError("the ODE residual is defined on characteristics only")
-    lo, hi = natural_range(domain, curve)
-    eps = 1e-13 * max(1.0, hi - lo)
-    if s < lo - eps or s > hi + eps:
-        raise OutOfRange(f"parameter {s} outside [{lo}, {hi}] for {curve.value}")
-    if s - lo <= eps or hi - s <= eps:
-        raise CornerPoint(f"ODE residual undefined at corner parameter {s}")
-    geo = _Geo(domain)
-    xy, dxy = _curve_fns(geo, curve)
-    x, y = xy(s)
-    dx, dy = dxy(s)
-    if domain.variant in (Variant.OMEGA1, Variant.OMEGA2):
-        slope = float(dy) / float(dx)        # dy/dx; natural parameter is y
-        return char_ode_residual_at(domain.params, domain.variant, float(x), float(y), slope)
-    slope = float(dx) / float(dy)            # dx/dy; natural parameter is x
-    return char_ode_residual_at(domain.params, domain.variant, float(x), float(y), slope)
+    s = _in_range(domain, curve, s, slack=1e-13, corner="ODE residual")
+    x, y, dx, dy = (float(v) for v in _natural(domain, curve).fn(s))
+    # dy/dx where the natural parameter is y, dx/dy where it is x
+    slope = dy / dx if domain.variant in (Variant.OMEGA1, Variant.OMEGA2) else dx / dy
+    return char_ode_residual_at(domain.params, domain.variant, x, y, slope)
 
 
 # ---------------------------------------------------------------------------
 # charts for quadrature (positively oriented, optionally graded)
 
-@dataclass
-class CurveChart:
-    curve: BoundaryCurveId
-    name: str
-    lo: float
-    hi: float
-    fn: Callable  # vectorized tau -> (x, y, dx/dtau, dy/dtau)
-
-
-@dataclass
-class AreaChart:
-    name: str
-    fn: Callable  # vectorized (U, V) in [0,1]^2 -> (X, Y, jacobian >= 0)
-
-
-def _graded_curve_charts(domain: DomainSpec) -> list[CurveChart]:
-    geo = _Geo(domain)
-    c1, c2, k = geo.c1, geo.c2, geo.k
-    v = domain.variant
-    charts: list[CurveChart] = []
-
-    if v in (Variant.OMEGA1, Variant.OMEGA2):
-        T = geo.T
-        two_x0_k = geo.two_x0_k
-        rho = geo.rho
-        bc_coef = geo.bc_coef
-
-        if v is Variant.OMEGA1:
-            # AC traversed A -> C: y = -tau^(2k)
-            def ac(tau):
-                tau = np.asarray(tau, float)
-                y = -(tau ** (2 * k))
-                dy = -2.0 * k * tau ** (2 * k - 1)
-                g = two_x0_k + rho * tau ** (k * c1)
-                x = _odd_root(g, k)
-                dx = c2 * np.abs(g) ** (1.0 / k - 1.0) * tau ** (k * c1 - 1)
-                return x, y, dx, dy
-
-            # BC traversed C -> B: x = -bc_coef*w^c1, y = -w^(2k), w = T - tau
-            def bc(tau):
-                w = T - np.asarray(tau, float)
-                x = -bc_coef * w ** c1
-                y = -(w ** (2 * k))
-                dx = c1 * bc_coef * w ** (c1 - 1)
-                dy = 2.0 * k * w ** (2 * k - 1)
-                return x, y, dx, dy
-        else:
-            # omega2: BC' traversed B' -> C', AC' traversed C' -> A'
-            def bc(tau):
-                tau = np.asarray(tau, float)
-                x = bc_coef * tau ** c1
-                y = -(tau ** (2 * k))
-                dx = c1 * bc_coef * tau ** (c1 - 1)
-                dy = -2.0 * k * tau ** (2 * k - 1)
-                return x, y, dx, dy
-
-            def ac(tau):
-                w = T - np.asarray(tau, float)
-                y = -(w ** (2 * k))
-                dy = 2.0 * k * w ** (2 * k - 1)
-                g = two_x0_k - rho * w ** (k * c1)
-                x = g ** (1.0 / k)
-                dx = c2 * g ** (1.0 / k - 1.0) * w ** (k * c1 - 1)
-                return x, y, dx, dy
-
-        def sig(theta):
-            x, y = geo.sigma_xy(theta)
-            dx, dy = geo.sigma_dxy(theta)
-            return x, y, dx, dy
-
-        lo, hi = natural_range(domain, BoundaryCurveId.SIGMA)
-        charts.append(CurveChart(BoundaryCurveId.AC, "AC", 0.0, T, _quiet(ac)))
-        charts.append(CurveChart(BoundaryCurveId.BC, "BC", 0.0, T, _quiet(bc)))
-        charts.append(CurveChart(BoundaryCurveId.SIGMA, "sigma", lo, hi, sig))
-        return charts
-
-    # omega3 / omega4
-    S = geo.S
-    bigk = geo.bigk
-    bc_ycoef = geo.bc_ycoef
-
-    # AC'' traversed A'' -> C'' in its natural parameter x (analytic, no grading)
-    def ac(x):
-        x = np.asarray(x, float)
-        base = bigk - (1.0 / geo.rho) * x ** k
-        y = -(base ** (2.0 / c1))
-        dy = x ** (k - 1) * base ** (2.0 / c1 - 1.0)
-        return x, y, np.ones_like(x), dy
-
-    # BC'' traversed C'' -> B'': x = w^c1, w = S - tau
-    def bc(tau):
-        w = S - np.asarray(tau, float)
-        x = w ** c1
-        y = -bc_ycoef * w ** (2 * k)
-        dx = -c1 * w ** (c1 - 1)
-        dy = 2.0 * k * bc_ycoef * w ** (2 * k - 1)
-        return x, y, dx, dy
-
-    def sig(t):
-        x, y = geo.sigma_xy(t)
-        dx, dy = geo.sigma_dxy(t)
-        return x, y, dx, dy
-
-    lo, hi = natural_range(domain, BoundaryCurveId.SIGMA)
-    charts.append(CurveChart(BoundaryCurveId.AC, "AC", 0.0, domain.apex.x, _quiet(ac)))
-    charts.append(CurveChart(BoundaryCurveId.BC, "BC", 0.0, S, _quiet(bc)))
-    charts.append(CurveChart(BoundaryCurveId.SIGMA, "sigma", lo, hi, sig))
-    return charts
-
-
-def _natural_curve_charts(domain: DomainSpec) -> list[CurveChart]:
-    geo = _Geo(domain)
-    charts = []
-    for curve, name in ((BoundaryCurveId.AC, "AC"), (BoundaryCurveId.BC, "BC"),
-                        (BoundaryCurveId.SIGMA, "sigma")):
-        lo, hi = natural_range(domain, curve)
-        xy, dxy = _curve_fns(geo, curve)
-        orient = _ORIENT[domain.variant][curve]
-
-        def fn(tau, xy=xy, dxy=dxy, orient=orient, lo=lo, hi=hi):
-            s = np.asarray(tau, float) if orient > 0 else lo + hi - np.asarray(tau, float)
-            x, y = xy(s)
-            dx, dy = dxy(s)
-            return x, y, orient * dx, orient * dy
-
-        charts.append(CurveChart(curve, name, lo, hi, _quiet(fn)))
-    return charts
-
-
 def boundary_charts(domain: DomainSpec, graded: bool = True) -> list[CurveChart]:
     """Positively oriented charts for the three boundary pieces.  Graded
-    charts substitute away the half-integer powers so smooth integrands
-    stay smooth in the chart parameter."""
-    if graded:
-        return _graded_curve_charts(domain)
-    return _natural_curve_charts(domain)
+    charts run the characteristics in w, which substitutes away the
+    half-integer powers so smooth integrands stay smooth in the chart
+    parameter; AC'' of omega3/omega4 is smooth in x and keeps it."""
+    charts = []
+    for curve in BoundaryCurveId:
+        keeps_x = curve is BoundaryCurveId.AC and domain.variant in (Variant.OMEGA3,
+                                                                      Variant.OMEGA4)
+        if graded and curve is not BoundaryCurveId.SIGMA and not keeps_x:
+            piece = _characteristics(domain).pieces[curve]
+        else:
+            piece = _natural(domain, curve)
+        charts.append(piece.chart(curve))
+    return charts
 
 
 def area_charts(domain: DomainSpec) -> list[AreaChart]:
     """Maps from the unit square covering the domain: the characteristic
-    triangle (graded slices along the natural axis) and the cap behind
-    the degeneracy line (polar map), integrated separately."""
-    geo = _Geo(domain)
-    c1, c2, k = geo.c1, geo.c2, geo.k
-    v = domain.variant
-    charts: list[AreaChart] = []
-
-    if v in (Variant.OMEGA1, Variant.OMEGA2):
-        T = geo.T
-        two_x0_k = geo.two_x0_k
-        rho = geo.rho
-        bc_coef = geo.bc_coef
-
-        def tri(U, V):
-            s = T * np.asarray(V, float)
-            y = -(s ** (2 * k))
-            dyds = 2.0 * k * s ** (2 * k - 1) * T
-            g_ac = two_x0_k + rho * s ** (k * c1) if v is Variant.OMEGA1 \
-                else two_x0_k - rho * s ** (k * c1)
-            if v is Variant.OMEGA1:
-                xl = _odd_root(g_ac, k)
-                xr = -bc_coef * s ** c1
-            else:
-                xl = bc_coef * s ** c1
-                xr = g_ac ** (1.0 / k)
-            X = xl + np.asarray(U, float) * (xr - xl)
-            J = (xr - xl) * dyds
-            return X, np.broadcast_to(y, X.shape).copy(), np.broadcast_to(J, X.shape).copy()
-
-        charts.append(AreaChart("triangle", tri))
-        if isinstance(domain.arc, EllipticArc):
-            cx, cy = domain.arc.center.x, domain.arc.center.y
-            a, b = domain.arc.semi_axes
-
-            def cap(U, V):
-                r = np.asarray(U, float)
-                th = math.pi * np.asarray(V, float)
-                X = cx + a * r * np.cos(th)
-                Y = cy + b * r * np.sin(th)
-                J = a * b * r * math.pi
-                return X, Y, np.broadcast_to(J, X.shape).copy()
-
-            charts.append(AreaChart("cap", cap))
-        else:
-            charts.append(_fan_cap_chart(domain))
-        return charts
-
-    S = geo.S
-    bigk = geo.bigk
-    bc_ycoef = geo.bc_ycoef
+    triangle (AC to BC at equal graded parameter) and the cap behind the
+    degeneracy line (polar or fan map), integrated separately."""
+    pieces = _characteristics(domain).pieces
+    ac, bc = pieces[BoundaryCurveId.AC].fn, pieces[BoundaryCurveId.BC].fn
+    w_max = pieces[BoundaryCurveId.AC].hi
 
     def tri(U, V):
-        s = S * np.asarray(V, float)
-        x = s ** c1
-        dxds = c1 * s ** (c1 - 1) * S
-        base = bigk - (1.0 / geo.rho) * s ** (k * c1)
-        yl = -(base ** (2.0 / c1))       # AC'' below
-        yu = -bc_ycoef * s ** (2 * k)    # BC'' above
-        Y = yl + np.asarray(U, float) * (yu - yl)
-        J = (yu - yl) * dxds
-        return np.broadcast_to(x, Y.shape).copy(), Y, np.broadcast_to(J, Y.shape).copy()
+        U = np.asarray(U, float)
+        w = w_max * np.asarray(V, float)
+        ax, ay, adx, ady = ac(w)
+        bx, by, _, _ = bc(w)
+        dx, dy = bx - ax, by - ay
+        # AC and BC share the graded coordinate, so BC' - AC' is parallel
+        # to (dx, dy) and drops out of the Jacobian
+        return ax + U * dx, ay + U * dy, np.abs(dx * ady - dy * adx) * w_max
 
-    charts.append(AreaChart("triangle", tri))
-    if v is Variant.OMEGA3:
-        if isinstance(domain.arc, EllipticArc):
-            cx, cy = domain.arc.center.x, domain.arc.center.y
-            a, b = domain.arc.semi_axes
+    charts = [AreaChart("triangle", tri)]
+    arc = domain.arc
+    if isinstance(arc, EllipticArc):
+        cx, cy = arc.center.x, arc.center.y
+        a, b = arc.semi_axes
+        phase = natural_range(domain, BoundaryCurveId.SIGMA)[0]
 
-            def cap(U, V):
-                r = np.asarray(U, float)
-                ph = math.pi / 2.0 + math.pi * np.asarray(V, float)
-                X = cx + a * r * np.cos(ph)
-                Y = cy + b * r * np.sin(ph)
-                J = a * b * r * math.pi
-                return X, Y, np.broadcast_to(J, X.shape).copy()
+        def cap(U, V):
+            r = np.asarray(U, float)
+            th = phase + math.pi * np.asarray(V, float)
+            return cx + a * r * np.cos(th), cy + b * r * np.sin(th), a * b * r * math.pi
 
-            charts.append(AreaChart("cap", cap))
-        else:
-            charts.append(_fan_cap_chart(domain))
+        charts.append(AreaChart("cap", cap))
+    elif arc is not None:
+        charts.append(_fan_cap_chart(domain))
     return charts
+
+
+def _fan(domain: DomainSpec, t):
+    """Chord midpoint m, arc points p(t) and the fan Jacobian (p - m) x p'."""
+    a_pt, b_pt = endpoints(domain)
+    mx, my = 0.5 * (a_pt.x + b_pt.x), 0.5 * (a_pt.y + b_pt.y)
+    px, py = (np.asarray(v, float) for v in domain.arc.fn(t))
+    dpx, dpy = domain.arc.deriv(t)
+    return mx, my, px, py, (px - mx) * dpy - (py - my) * dpx
 
 
 def _fan_cap_chart(domain: DomainSpec) -> AreaChart:
     # generic cap behind the chord AB for a user parametric arc: fan from
-    # the chord midpoint (adequate for arcs that stay star-shaped wrt it)
-    arc = domain.arc
-    a_pt, b_pt = endpoints(domain)
-    mx, my = 0.5 * (a_pt.x + b_pt.x), 0.5 * (a_pt.y + b_pt.y)
-    lo, hi = arc.t_lo, arc.t_hi
+    # the chord midpoint; DomainSpec rejects arcs whose fan Jacobian goes
+    # negative, so no fold is hidden here
+    lo, hi = domain.arc.t_lo, domain.arc.t_hi
 
     def cap(U, V):
-        t = lo + (hi - lo) * np.asarray(V, float)
-        px, py = arc.fn(t)
-        dpx, dpy = arc.deriv(t)
         U = np.asarray(U, float)
-        X = mx + U * (np.asarray(px, float) - mx)
-        Y = my + U * (np.asarray(py, float) - my)
-        J = np.abs(U * ((px - mx) * dpy - (py - my) * dpx) * (hi - lo))
-        return X, Y, J
+        mx, my, px, py, jac = _fan(domain, lo + (hi - lo) * np.asarray(V, float))
+        return mx + U * (px - mx), my + U * (py - my), U * jac * (hi - lo)
 
     return AreaChart("cap", cap)
 
@@ -746,47 +558,30 @@ def _fan_cap_chart(domain: DomainSpec) -> AreaChart:
 
 def contains(domain: DomainSpec, p: Point, tol: float = 1e-9) -> bool:
     """Closed-domain membership with absolute slack tol."""
-    geo = _Geo(domain)
-    x, y = p.x, p.y
-    v = domain.variant
-    if v in (Variant.OMEGA1, Variant.OMEGA2):
-        yc = domain.apex.y
-        if yc - tol <= y <= tol:
-            yy = min(max(y, yc), 0.0)
-            xa, _ = geo.ac_xy(yy)
-            xb, _ = geo.bc_xy(yy)
-            if v is Variant.OMEGA1:
-                lo_x, hi_x = float(xa), float(xb)
-            else:
-                lo_x, hi_x = float(xb), float(xa)
-            if lo_x - tol <= x <= hi_x + tol:
-                return True
-        if y >= -tol:
-            return _cap_contains(domain, p, tol)
-        return False
-    xc = domain.apex.x
-    if -tol <= x <= xc + tol:
-        xx = min(max(x, 0.0), xc)
-        _, ya = geo.ac_xy(xx)
-        _, yb = geo.bc_xy(xx)
-        if float(ya) - tol <= y <= float(yb) + tol:
+    table = _characteristics(domain)
+    i = table.axis
+    lo, hi = natural_range(domain, BoundaryCurveId.AC)
+    s, t = (p.x, p.y)[i], (p.x, p.y)[1 - i]
+    if lo - tol <= s <= hi + tol:
+        # the triangle's slice at graded coordinate s runs from AC to BC
+        w = table.to_w(min(max(s, lo), hi))
+        ends = [float(piece.fn(w)[1 - i]) for piece in table.pieces.values()]
+        if min(ends) - tol <= t <= max(ends) + tol:
             return True
-    if v is Variant.OMEGA3 and x <= tol:
-        return _cap_contains(domain, p, tol)
-    return False
+    return _cap_contains(domain, p, tol)
 
 
 def _cap_contains(domain: DomainSpec, p: Point, tol: float) -> bool:
     arc = domain.arc
-    if arc is None:
+    side_ok = p.y >= -tol if domain.variant in (Variant.OMEGA1, Variant.OMEGA2) \
+        else p.x <= tol
+    if arc is None or not side_ok:
         return False
     if isinstance(arc, EllipticArc):
         a, b = arc.semi_axes
         u = (p.x - arc.center.x) / a
         w = (p.y - arc.center.y) / b
-        side_ok = p.y >= -tol if domain.variant in (Variant.OMEGA1, Variant.OMEGA2) \
-            else p.x <= tol
-        return side_ok and u * u + w * w <= 1.0 + tol / min(a, b)
+        return u * u + w * w <= 1.0 + tol / min(a, b)
     # parametric arc: ray-cast against the sampled cap polygon (arc + chord)
     n = 256
     t = np.linspace(arc.t_lo, arc.t_hi, n)
@@ -831,7 +626,8 @@ def check_starshaped(domain: DomainSpec, n_samples: int = 256,
     co = coefficients(domain.params)
     worst = math.inf
     worst_pt = domain.apex
-    for chart in boundary_charts(domain, graded=True):
+    charts = boundary_charts(domain, graded=True)
+    for chart in charts:
         tau = chart.lo + (chart.hi - chart.lo) * (np.arange(n_samples) + 0.5) / n_samples
         x, y, dx, dy = chart.fn(tau)
         form = co.c1 * np.asarray(x) * np.asarray(dy) - co.c2 * np.asarray(y) * np.asarray(dx)
@@ -839,21 +635,16 @@ def check_starshaped(domain: DomainSpec, n_samples: int = 256,
         if form[i] < worst:
             worst = float(form[i])
             worst_pt = Point(float(np.asarray(x).ravel()[i]), float(np.asarray(y).ravel()[i]))
-    contained = True
     m = max(8, n_samples // 8)
-    for chart in boundary_charts(domain, graded=True):
-        tau = chart.lo + (chart.hi - chart.lo) * (np.arange(m) + 0.5) / m
-        x, y, _, _ = chart.fn(tau)
-        for xi, yi in zip(np.asarray(x).ravel(), np.asarray(y).ravel()):
-            for t in (0.3, 0.9, 1.8, 3.0):
-                q = flow(Point(float(xi), float(yi)), t, co)
-                if not contains(domain, q, tol=1e-7):
-                    contained = False
-                    break
-            if not contained:
-                break
-        if not contained:
-            break
+
+    def flowed_points():
+        for chart in charts:
+            x, y, _, _ = chart.fn(chart.lo + (chart.hi - chart.lo) * (np.arange(m) + 0.5) / m)
+            for xi, yi in zip(np.asarray(x).ravel(), np.asarray(y).ravel()):
+                for t in (0.3, 0.9, 1.8, 3.0):
+                    yield flow(Point(float(xi), float(yi)), t, co)
+
+    contained = all(contains(domain, q, tol=1e-7) for q in flowed_points())
     ok = worst >= -tol and contained
     return StarlikeReport(min_form=worst, is_starlike=ok,
                           worst_point=worst_pt, flow_contained=contained)
@@ -862,18 +653,20 @@ def check_starshaped(domain: DomainSpec, n_samples: int = 256,
 # ---------------------------------------------------------------------------
 # export
 
+def _boundary_samples(domain: DomainSpec, n: int):
+    # (piece name, s, x, y) per boundary piece, in natural parameters
+    for curve in BoundaryCurveId:
+        piece = _natural(domain, curve)
+        s = np.linspace(piece.lo, piece.hi, n)
+        x, y, _, _ = piece.fn(s)
+        yield (curve.value, s, np.broadcast_to(np.asarray(x, float), s.shape),
+               np.broadcast_to(np.asarray(y, float), s.shape))
+
+
 def boundary_csv(domain: DomainSpec, samples_per_piece: int = 200) -> str:
     """CSV boundary sample table with header piece,s,x,y (natural parameters)."""
     lines = ["piece,s,x,y"]
-    geo = _Geo(domain)
-    for curve, name in ((BoundaryCurveId.AC, "AC"), (BoundaryCurveId.BC, "BC"),
-                        (BoundaryCurveId.SIGMA, "sigma")):
-        lo, hi = natural_range(domain, curve)
-        s = np.linspace(lo, hi, samples_per_piece)
-        xy, _ = _curve_fns(geo, curve)
-        x, y = xy(s)
-        x = np.broadcast_to(np.asarray(x, float), s.shape)
-        y = np.broadcast_to(np.asarray(y, float), s.shape)
+    for name, s, x, y in _boundary_samples(domain, samples_per_piece):
         for si, xi, yi in zip(s, x, y):
             lines.append(f"{name},{si:.17g},{xi:.17g},{yi:.17g}")
     return "\n".join(lines) + "\n"
@@ -881,18 +674,11 @@ def boundary_csv(domain: DomainSpec, samples_per_piece: int = 200) -> str:
 
 def boundary_svg(domain: DomainSpec, samples_per_piece: int = 200) -> str:
     """SVG document with one path per boundary piece, y flipped for display."""
-    geo = _Geo(domain)
     paths = []
     all_x, all_y = [], []
     colors = {"AC": "#b03030", "BC": "#3060b0", "sigma": "#308040"}
-    for curve, name in ((BoundaryCurveId.AC, "AC"), (BoundaryCurveId.BC, "BC"),
-                        (BoundaryCurveId.SIGMA, "sigma")):
-        lo, hi = natural_range(domain, curve)
-        s = np.linspace(lo, hi, samples_per_piece)
-        xy, _ = _curve_fns(geo, curve)
-        x, y = xy(s)
-        x = np.broadcast_to(np.asarray(x, float), s.shape)
-        y = -np.broadcast_to(np.asarray(y, float), s.shape)
+    for name, _, x, y in _boundary_samples(domain, samples_per_piece):
+        y = -y
         all_x.append(x)
         all_y.append(y)
         pts = " L ".join(f"{xi:.12g} {yi:.12g}" for xi, yi in zip(x, y))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,7 +23,8 @@ from .errors import (DegenerateDenominator, NonConvergence, OutOfRange,
 from .field import (SampleFn1D, ScalarField, D_from_jet, O_from_jet, X_from_jet,
                     energy_from_jet, jet2, norm_from_jet, to_prefix)
 from .geometry import (BoundaryCurveId, DomainSpec, Point, Vec2,
-                       check_starshaped, omega1, omega2, omega3, omega4)
+                       boundary_charts, check_starshaped, omega1, omega2,
+                       omega3, omega4)
 from .params import (Coefficients, NonlinearitySpec, OperatorParams,
                      coefficients)
 from . import quad
@@ -80,54 +81,27 @@ class IdentityReport:
 
     @property
     def rel_err(self) -> float:
-        return self.abs_err / (abs(self.lhs) + abs(self.rhs + self.defect) + 1.0)
+        return _rel_err(self.lhs, self.rhs, self.defect)
 
     def to_json(self) -> str:
-        d = {
-            "identity": self.identity,
-            "variant": self.variant,
-            "m1": self.m1,
-            "m2": self.m2,
-            "anchor": self.anchor,
-            "field": self.field,
-            "f": self.f,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "defect": self.defect,
-            "sides": self.sides,
-            "quad": self.quad,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "pass": self.passed,
-            "seconds": self.seconds,
-            "note": self.note,
-        }
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        d.update(abs_err=self.abs_err, rel_err=self.rel_err)
         return json.dumps(d, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "IdentityReport":
         d = json.loads(text)
-        return IdentityReport(
-            identity=d["identity"], variant=d["variant"], m1=d["m1"], m2=d["m2"],
-            anchor=d["anchor"], field=d["field"], f=d["f"], lhs=d["lhs"],
-            rhs=d["rhs"], defect=d["defect"], sides=d["sides"], quad=d["quad"],
-            passed=d["pass"], seconds=d["seconds"], note=d.get("note", ""))
+        d["passed"] = d.pop("pass")
+        return IdentityReport(**{f.name: d[f.name] for f in fields(IdentityReport)
+                                 if f.name in d})
 
     def with_seconds(self, seconds: float) -> "IdentityReport":
-        return IdentityReport(self.identity, self.variant, self.m1, self.m2,
-                              self.anchor, self.field, self.f, self.lhs,
-                              self.rhs, self.defect, self.sides, self.quad,
-                              self.passed, seconds, self.note)
+        return replace(self, seconds=seconds)
 
 
-def _quad_dict(cfg: QuadConfig) -> dict:
-    return {
-        "gauss_order": cfg.gauss_order,
-        "panels_per_axis": cfg.panels_per_axis,
-        "grade_endpoints": cfg.grade_endpoints,
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-    }
+def _rel_err(lhs: float, rhs: float, defect: float) -> float:
+    return abs(lhs - rhs - defect) / (abs(lhs) + abs(rhs + defect) + 1.0)
 
 
 def reference_domains() -> list[DomainSpec]:
@@ -152,11 +126,14 @@ def _curve_jets(u: ScalarField, domain: DomainSpec, curve_id: BoundaryCurveId,
     return ((fine, u.jet(fine.x, fine.y)), (coarse, u.jet(coarse.x, coarse.y)))
 
 
+def _reduce(density, g, j) -> float:
+    # weighted sum of a pointwise density over one grid level
+    return float(np.sum(np.asarray(density(j, g.x, g.y), float) * g.w))
+
+
 def _area_functional(u, domain, cfg, density) -> float:
-    (gf, jf), (gc, jc) = _area_jets(u, domain, cfg)
-    vf = float(np.sum(np.asarray(density(jf, gf.x, gf.y), float) * gf.w))
-    vc = float(np.sum(np.asarray(density(jc, gc.x, gc.y), float) * gc.w))
-    return check_two_level(vf, vc, cfg, "area functional")
+    fine, coarse = (_reduce(density, g, j) for g, j in _area_jets(u, domain, cfg))
+    return check_two_level(fine, coarse, cfg, "area functional")
 
 
 def _curve_functional(u, domain, curve_id, cfg, form) -> float:
@@ -187,8 +164,7 @@ def _ensure_oriented(domain: DomainSpec, cfg: QuadConfig) -> bool:
 def _require_vanishing(u, domain, curve_ids, cfg, what: str):
     # sample each named piece; tolerance is relative to the field size on
     # the whole boundary so an honestly nonzero field always trips it
-    charts = {c.curve: c for c in
-              (quad._boundary_charts_of(domain, cfg.grade_endpoints))}
+    charts = {c.curve: c for c in boundary_charts(domain, cfg.grade_endpoints)}
     scale = 1.0
     vals = {}
     for cid, chart in charts.items():
@@ -266,17 +242,13 @@ def omega_forms(params: OperatorParams, u: ScalarField, nonlin: NonlinearitySpec
 
 def _report(identity, domain, field_str, f_str, lhs, rhs, defect, sides, cfg,
             seconds, note="") -> IdentityReport:
-    rep = IdentityReport(
+    return IdentityReport(
         identity=identity, variant=domain.variant.value,
         m1=domain.params.m1, m2=domain.params.m2, anchor=domain.anchor,
         field=field_str, f=f_str, lhs=lhs, rhs=rhs, defect=defect,
-        sides=sides, quad=_quad_dict(cfg), passed=False, seconds=seconds,
-        note=note)
-    passed = rep.rel_err <= REPORT_PASS_RTOL
-    return IdentityReport(identity, domain.variant.value, domain.params.m1,
-                          domain.params.m2, domain.anchor, field_str, f_str,
-                          lhs, rhs, defect, sides, _quad_dict(cfg), passed,
-                          seconds, note)
+        sides=sides, quad=asdict(cfg),
+        passed=_rel_err(lhs, rhs, defect) <= REPORT_PASS_RTOL,
+        seconds=seconds, note=note)
 
 
 def step1_residual(u: ScalarField, domain: DomainSpec,
@@ -423,30 +395,9 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
 # ---------------------------------------------------------------------------
 # scaling ratios
 
-@lru_cache(maxsize=64)
-def _box_level(lx: float, ly: float, order: int, panels: int) -> quad.GridLevel:
-    # four sign quadrants so |x|, |y| weights stay smooth per chart
-    t, w = quad._panel_nodes(0.0, 1.0, order, panels)
-    U, V = np.meshgrid(t, t, indexing="ij")
-    W2 = np.outer(w, w)
-    xs, ys, ws = [], [], []
-    for sx in (-1.0, 1.0):
-        for sy in (-1.0, 1.0):
-            xs.append((sx * lx * U).ravel())
-            ys.append((sy * ly * V).ravel())
-            ws.append((lx * ly * W2).ravel())
-    return quad.GridLevel(np.concatenate(xs), np.concatenate(ys),
-                          np.concatenate(ws))
-
-
 def _box_integral(u, lx, ly, cfg, density) -> float:
-    def level(panels):
-        g = _box_level(lx, ly, cfg.gauss_order, panels)
-        j = u.jet(g.x, g.y)
-        return float(np.sum(np.asarray(density(j, g.x, g.y), float) * g.w))
-
-    fine = level(cfg.panels_per_axis)
-    coarse = level(max(1, cfg.panels_per_axis // 2))
+    fine, coarse = (_reduce(density, g, u.jet(g.x, g.y))
+                    for g in quad.box_grids(lx, ly, cfg))
     return check_two_level(fine, coarse, cfg, "box integral")
 
 

@@ -18,13 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
-from .geometry import (AreaChart, BoundaryCurveId, CurveChart, DomainSpec,
-                       area_charts, boundary_charts)
+from .geometry import BoundaryCurveId
 
 __all__ = [
     "QuadConfig",
     "Residual",
-    "UnitSquare",
     "GridLevel",
     "CurveGridLevel",
     "integrate_interval",
@@ -33,8 +31,8 @@ __all__ = [
     "integrate_curve",
     "integrate_boundary",
     "domain_grids",
+    "box_grids",
     "curve_grids",
-    "boundary_grids",
     "check_two_level",
     "divergence_selftest",
 ]
@@ -75,36 +73,6 @@ class Residual:
         return self.abs_err / (abs(self.lhs) + abs(self.rhs) + 1.0)
 
 
-@dataclass(frozen=True)
-class UnitSquare:
-    """Test fixture: [0,1]^2 with its counterclockwise boundary."""
-
-    def area_charts(self):
-        def fn(U, V):
-            U = np.asarray(U, float)
-            V = np.asarray(V, float)
-            return U.copy(), V.copy(), np.ones_like(U)
-
-        return [AreaChart("square", fn)]
-
-    def boundary_charts(self):
-        def edge(p0, p1):
-            (x0, y0), (x1, y1) = p0, p1
-
-            def fn(t):
-                t = np.asarray(t, float)
-                return (x0 + (x1 - x0) * t, y0 + (y1 - y0) * t,
-                        np.full_like(t, x1 - x0), np.full_like(t, y1 - y0))
-
-            return fn
-
-        corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        names = ["bottom", "right", "top", "left"]
-        return [CurveChart(None, names[i], 0.0, 1.0,
-                           edge(corners[i], corners[(i + 1) % 4]))
-                for i in range(4)]
-
-
 @lru_cache(maxsize=64)
 def _gauss(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
@@ -122,14 +90,22 @@ def _panel_nodes(lo: float, hi: float, order: int, panels: int):
     return t, wt
 
 
+def _two_levels(level, cfg: QuadConfig) -> tuple:
+    """(fine, coarse) pair of level(panels): every two-level grid and sum."""
+    return level(cfg.panels_per_axis), level(max(1, cfg.panels_per_axis // 2))
+
+
 def check_two_level(fine: float, coarse: float, cfg: QuadConfig,
                     what: str = "integral") -> float:
-    err = abs(fine - coarse)
-    if err > max(cfg.abs_tol, cfg.rel_tol * (abs(fine) + abs(coarse) + 1.0)):
-        raise NonConvergence(
-            f"{what} did not settle: {fine!r} vs {coarse!r} "
-            f"(panels {cfg.panels_per_axis} vs {max(1, cfg.panels_per_axis // 2)})")
-    return fine
+    if not (math.isfinite(fine) and math.isfinite(coarse)):
+        problem = "is not finite"
+    elif abs(fine - coarse) > max(cfg.abs_tol, cfg.rel_tol * (abs(fine) + abs(coarse) + 1.0)):
+        problem = "did not settle"
+    else:
+        return fine
+    raise NonConvergence(
+        f"{what} {problem}: {fine!r} vs {coarse!r} "
+        f"(panels {cfg.panels_per_axis} vs {max(1, cfg.panels_per_axis // 2)})")
 
 
 def _interval_sum(f, lo: float, hi: float, order: int, panels: int) -> float:
@@ -140,8 +116,8 @@ def _interval_sum(f, lo: float, hi: float, order: int, panels: int) -> float:
 
 def integrate_interval(f, lo: float, hi: float, cfg: QuadConfig) -> float:
     """Two-level composite Gauss integral of a vectorized f on [lo, hi]."""
-    fine = _interval_sum(f, lo, hi, cfg.gauss_order, cfg.panels_per_axis)
-    coarse = _interval_sum(f, lo, hi, cfg.gauss_order, max(1, cfg.panels_per_axis // 2))
+    fine, coarse = _two_levels(
+        lambda panels: _interval_sum(f, lo, hi, cfg.gauss_order, panels), cfg)
     return check_two_level(fine, coarse, cfg, "interval integral")
 
 
@@ -180,74 +156,69 @@ class CurveGridLevel:
     wy: np.ndarray  # weight times dy/dtau
 
 
-def _area_charts_of(domain):
-    if isinstance(domain, DomainSpec):
-        return area_charts(domain)
-    return domain.area_charts()
-
-
-def _boundary_charts_of(domain, graded: bool):
-    if isinstance(domain, DomainSpec):
-        return boundary_charts(domain, graded=graded)
-    return domain.boundary_charts()
-
-
-def _build_area_level(domain, order: int, panels: int) -> GridLevel:
+def _tensor_level(maps, order: int, panels: int) -> GridLevel:
+    # Gauss tensor grid on the unit square pushed through each chart map
+    # (U, V) -> (X, Y, jacobian)
     t, w = _panel_nodes(0.0, 1.0, order, panels)
     U, V = np.meshgrid(t, t, indexing="ij")
     W2 = np.outer(w, w)
     xs, ys, ws = [], [], []
-    for chart in _area_charts_of(domain):
-        Xc, Yc, J = chart.fn(U, V)
+    for fn in maps:
+        Xc, Yc, J = fn(U, V)
         xs.append(np.asarray(Xc, float).ravel())
         ys.append(np.asarray(Yc, float).ravel())
         ws.append((np.asarray(J, float) * W2).ravel())
     return GridLevel(np.concatenate(xs), np.concatenate(ys), np.concatenate(ws))
 
 
-def _build_curve_level(domain, graded: bool, order: int, panels: int,
-                       curve_id: BoundaryCurveId | None) -> CurveGridLevel:
+def _curve_level(charts, order: int, panels: int) -> CurveGridLevel:
     xs, ys, wxs, wys = [], [], [], []
-    for chart in _boundary_charts_of(domain, graded):
-        if curve_id is not None and chart.curve is not curve_id:
-            continue
+    for chart in charts:
         t, w = _panel_nodes(chart.lo, chart.hi, order, panels)
         x, y, dx, dy = chart.fn(t)
         xs.append(np.broadcast_to(np.asarray(x, float), t.shape).ravel())
         ys.append(np.broadcast_to(np.asarray(y, float), t.shape).ravel())
         wxs.append((np.broadcast_to(np.asarray(dx, float), t.shape) * w).ravel())
         wys.append((np.broadcast_to(np.asarray(dy, float), t.shape) * w).ravel())
-    if not xs:
-        raise ValueError(f"domain has no boundary piece {curve_id}")
     return CurveGridLevel(np.concatenate(xs), np.concatenate(ys),
                           np.concatenate(wxs), np.concatenate(wys))
 
 
+# A domain is anything with area_charts() and boundary_charts(graded):
+# a DomainSpec, or a test region.
+
 @lru_cache(maxsize=24)
 def domain_grids(domain, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
     """(fine, coarse) tensor grids covering the domain, weights included."""
-    fine = _build_area_level(domain, cfg.gauss_order, cfg.panels_per_axis)
-    coarse = _build_area_level(domain, cfg.gauss_order, max(1, cfg.panels_per_axis // 2))
-    return fine, coarse
+    maps = [chart.fn for chart in domain.area_charts()]
+    return _two_levels(lambda panels: _tensor_level(maps, cfg.gauss_order, panels), cfg)
 
 
-@lru_cache(maxsize=96)
-def curve_grids(domain, curve_id: BoundaryCurveId,
+def _quadrant(sx: float, sy: float, lx: float, ly: float):
+    def fn(U, V):
+        return sx * lx * U, sy * ly * V, lx * ly
+
+    return fn
+
+
+@lru_cache(maxsize=32)
+def box_grids(lx: float, ly: float, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
+    """(fine, coarse) grids on the box [-lx, lx] x [-ly, ly], one chart per
+    sign quadrant so |x|, |y| weights stay smooth per chart."""
+    maps = [_quadrant(sx, sy, lx, ly) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
+    return _two_levels(lambda panels: _tensor_level(maps, cfg.gauss_order, panels), cfg)
+
+
+@lru_cache(maxsize=128)
+def curve_grids(domain, curve_id: BoundaryCurveId | None,
                 cfg: QuadConfig) -> tuple[CurveGridLevel, CurveGridLevel]:
-    fine = _build_curve_level(domain, cfg.grade_endpoints, cfg.gauss_order,
-                              cfg.panels_per_axis, curve_id)
-    coarse = _build_curve_level(domain, cfg.grade_endpoints, cfg.gauss_order,
-                                max(1, cfg.panels_per_axis // 2), curve_id)
-    return fine, coarse
-
-
-@lru_cache(maxsize=24)
-def boundary_grids(domain, cfg: QuadConfig) -> tuple[CurveGridLevel, CurveGridLevel]:
-    fine = _build_curve_level(domain, cfg.grade_endpoints, cfg.gauss_order,
-                              cfg.panels_per_axis, None)
-    coarse = _build_curve_level(domain, cfg.grade_endpoints, cfg.gauss_order,
-                                max(1, cfg.panels_per_axis // 2), None)
-    return fine, coarse
+    """(fine, coarse) nodes on one boundary piece, or on the whole positively
+    oriented loop when curve_id is None."""
+    charts = [c for c in domain.boundary_charts(cfg.grade_endpoints)
+              if curve_id is None or c.curve is curve_id]
+    if not charts:
+        raise ValueError(f"domain has no boundary piece {curve_id}")
+    return _two_levels(lambda panels: _curve_level(charts, cfg.gauss_order, panels), cfg)
 
 
 def _eval_on(g, x, y):
@@ -283,7 +254,7 @@ def integrate_curve(form, domain, curve_id: BoundaryCurveId, cfg: QuadConfig) ->
 
 def integrate_boundary(form, domain, cfg: QuadConfig) -> float:
     """Two-level integral of P dx + Q dy around the whole boundary loop."""
-    fine, coarse = boundary_grids(domain, cfg)
+    fine, coarse = curve_grids(domain, None, cfg)
     return check_two_level(_curve_sum(form, fine), _curve_sum(form, coarse),
                            cfg, "boundary integral")
 

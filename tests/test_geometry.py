@@ -9,7 +9,8 @@ from tricomi.errors import (CornerPoint, DomainError, OutOfRange,
                             ParityViolation)
 from tricomi.geometry import (BoundaryCurveId, DomainSpec, EllipticArc,
                               ParametricArc, Point, Variant, Vec2,
-                              boundary_charts, boundary_csv, boundary_svg,
+                              area_charts, boundary_charts, boundary_csv,
+                              boundary_svg,
                               char_ode_residual, char_ode_residual_at,
                               check_starshaped, contains, curve_point,
                               endpoints, flow, natural_range, omega1, omega2,
@@ -250,6 +251,35 @@ def test_dented_sigma_flagged():
     assert not rep.is_starlike
     assert rep.min_form < -0.1
     assert bad.arc is not base.arc
+
+
+def test_folded_arc_rejected_at_construction():
+    # this arc hits both corners, but its fan Jacobian (p - m) x p' from
+    # the chord midpoint m ranges over about [-0.129, 0.305]: the cap map
+    # folds over itself
+    base = omega1(1, 4, -0.5)
+    c, (a, b) = base.arc.center, base.arc.semi_axes
+
+    def fn(theta):
+        th = np.asarray(theta, float)
+        return c.x + a * np.cos(th), c.y + b * np.sin(th) * np.cos(2 * th) ** 2
+
+    with pytest.raises(DomainError, match="fan Jacobian"):
+        omega1(1, 4, -0.5, arc=ParametricArc(fn, 0.0, math.pi))
+
+
+def test_dented_arc_keeps_a_positive_fan_jacobian():
+    # the dented arc of criterion 9 is not star-shaped for the dilation
+    # flow, but its fan from the chord midpoint does not fold: (p - m) x p'
+    # stays in [1/64, 1/4], so the cap chart weights stay positive
+    dom = omega1(1, 4, -0.5, arc=_dented_arc(omega1(1, 4, -0.5)))
+    cap = next(ch for ch in area_charts(dom) if ch.name == "cap")
+    t = (np.arange(64) + 0.5) / 64.0
+    U, V = np.meshgrid(t, t, indexing="ij")
+    _, _, J = cap.fn(U, V)
+    fan = J / (U * math.pi)
+    assert float(np.min(fan)) >= 1.0 / 64.0 - 1e-12
+    assert float(np.max(fan)) <= 0.25 + 1e-12
 
 
 def test_containment_probes():

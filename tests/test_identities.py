@@ -8,9 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tricomi.errors import (DegenerateDenominator, OutOfRange,
+from tricomi.errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                             PreconditionViolated)
-from tricomi.field import X, Y, Const, VANISH_AC, manufactured
+from tricomi.field import X, Y, Const, SampleFn1D, VANISH_AC, manufactured
 from tricomi.geometry import ParametricArc, Point, Vec2, omega1
 from tricomi.identities import (HardyParams, IdentityReport, boundary_energy_I,
                                 equivalence_chain, hardy_GL, hardy_GL_numeric,
@@ -278,6 +278,17 @@ def test_boundary_energy_preconditions():
     with pytest.raises(PreconditionViolated):
         # constant 1 does not vanish at the ends
         boundary_energy_I(params, -1.0, polynomial_sample_fn([1.0], -1.0, 0.0))
+
+
+def test_boundary_energy_rejects_nan_phi():
+    # NaN passes the comparison-based endpoint preconditions, so the
+    # two-level check is what refuses it; a sweep's min() would drop it
+    def nan_fn(t):
+        return np.full_like(np.asarray(t, float), np.nan)
+
+    phi = SampleFn1D(nan_fn, nan_fn, -1.0, 0.0)
+    with pytest.raises(NonConvergence, match="is not finite"):
+        boundary_energy_I(OperatorParams(1, 4), -1.0, phi)
 
 
 def test_hardy_inequality_linear_phi_closed_values():

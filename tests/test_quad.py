@@ -6,12 +6,43 @@ import numpy as np
 import pytest
 
 from tricomi.errors import NonConvergence
-from tricomi.geometry import BoundaryCurveId, omega1, omega2, omega3, omega4
-from tricomi.quad import (QuadConfig, Residual, UnitSquare, check_two_level,
+from tricomi.geometry import (AreaChart, BoundaryCurveId, CurveChart, omega1,
+                              omega2, omega3, omega4)
+from tricomi.quad import (QuadConfig, Residual, check_two_level,
                           divergence_selftest, domain_grids,
                           integrate_boundary, integrate_curve,
                           integrate_domain, integrate_interval,
                           integrate_neg_interval)
+
+
+class UnitSquare:
+    """[0,1]^2 with its counterclockwise boundary: a region that is not a
+    DomainSpec but offers the same two chart methods."""
+
+    def area_charts(self):
+        def fn(U, V):
+            U = np.asarray(U, float)
+            V = np.asarray(V, float)
+            return U.copy(), V.copy(), np.ones_like(U)
+
+        return [AreaChart("square", fn)]
+
+    def boundary_charts(self, graded=True):
+        def edge(p0, p1):
+            (x0, y0), (x1, y1) = p0, p1
+
+            def fn(t):
+                t = np.asarray(t, float)
+                return (x0 + (x1 - x0) * t, y0 + (y1 - y0) * t,
+                        np.full_like(t, x1 - x0), np.full_like(t, y1 - y0))
+
+            return fn
+
+        corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        names = ["bottom", "right", "top", "left"]
+        return [CurveChart(None, names[i], 0.0, 1.0,
+                           edge(corners[i], corners[(i + 1) % 4]))
+                for i in range(4)]
 
 
 def test_quad_config_validation():
@@ -40,6 +71,17 @@ def test_check_two_level():
     with pytest.raises(NonConvergence) as ei:
         check_two_level(1.0, 1.1, cfg)
     assert "did not settle" in str(ei.value)
+
+
+def test_check_two_level_rejects_non_finite_levels():
+    # NaN fails every tolerance comparison and inf - inf is NaN, so both
+    # would slip through a gap test alone
+    cfg = QuadConfig()
+    nan, inf = float("nan"), float("inf")
+    for fine, coarse in ((nan, nan), (inf, inf), (-inf, -inf), (1.0, nan),
+                         (inf, 1.0)):
+        with pytest.raises(NonConvergence, match="is not finite"):
+            check_two_level(fine, coarse, cfg)
 
 
 def test_interval_gauss_exactness():
