@@ -24,7 +24,7 @@ from .geometry import (DomainSpec, boundary_csv, boundary_svg,
 from .params import (OperatorParams, coefficients, critical_exponent,
                      cubic_nonlinearity, linear_nonlinearity,
                      power_nonlinearity, supercritical_threshold)
-from .quad import QuadConfig, divergence_selftest
+from .quad import QuadConfig
 
 _FACTORIES = {"omega1": omega1, "omega2": omega2, "omega3": omega3,
               "omega4": omega4}
@@ -506,7 +506,7 @@ def _cmd_suite(cfg: dict) -> int:
     def compute(reports):
         for dom in domains:
             t0 = time.perf_counter()
-            r = divergence_selftest(dom, qcfg)
+            r = ident._ensure_oriented(dom, qcfg)
             reports.append(_manual_report(
                 "divergence-selftest", m1, m2, r.lhs, r.rhs,
                 r.rel_err <= 1e-9, variant=dom.variant.value,

@@ -34,7 +34,18 @@ class DegeneracyLine(TricomiError):
 
 
 class NonConvergence(TricomiError):
-    """Two quadrature refinement levels disagree beyond the configured tolerance."""
+    """Two quadrature refinement levels disagree beyond the configured tolerance.
+
+    A two-level check that fails names what it integrated (``what``), the
+    ``fine`` and ``coarse`` values and the ``panels`` pair (fine, coarse);
+    errors raised elsewhere leave them None."""
+
+    def __init__(self, message, what=None, fine=None, coarse=None, panels=None):
+        super().__init__(message)
+        self.what = what
+        self.fine = fine
+        self.coarse = coarse
+        self.panels = panels
 
 
 class PreconditionViolated(TricomiError):

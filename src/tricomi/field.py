@@ -49,6 +49,7 @@ __all__ = [
     "substitute",
     "to_prefix",
     "parse_field",
+    "operator_weights",
     "O_from_jet",
     "X_from_jet",
     "D_from_jet",
@@ -86,12 +87,22 @@ class ScalarField:
     """Base expression node.  Subclasses are frozen dataclasses, so trees
     compare and hash structurally (used for grid caching)."""
 
-    def jet(self, x, y) -> Jet2:
+    def jet(self, x, y, known=None) -> Jet2:
+        """Jet at the points (x, y).  known(node), when given, returns the
+        jet of a subtree already evaluated on these same points, or None;
+        a returned jet is used instead of evaluating that subtree again,
+        so the result is bit-identical to a cold evaluation."""
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                      np.asarray(y, dtype=float))
-        return self._jet(xb, yb)
 
-    def _jet(self, x, y) -> Jet2:
+        def sub(node):
+            j = None if known is None else known(node)
+            return node._jet(xb, yb, sub) if j is None else j
+
+        return sub(self)
+
+    def _jet(self, x, y, sub) -> Jet2:
+        # sub(child) is the jet of a child node on the same points
         raise NotImplementedError
 
     def diff(self, var: str) -> "ScalarField":
@@ -151,7 +162,7 @@ class Const(ScalarField):
         if not math.isfinite(self.v):
             raise ValueError("constant must be finite")
 
-    def _jet(self, x, y):
+    def _jet(self, x, y, sub):
         z = np.zeros_like(x)
         return Jet2(np.full_like(x, self.v), z, z, z.copy(), z.copy(), z.copy())
 
@@ -167,7 +178,7 @@ class Coord(ScalarField):
         if self.name not in ("x", "y"):
             raise ValueError("coordinate must be 'x' or 'y'")
 
-    def _jet(self, x, y):
+    def _jet(self, x, y, sub):
         z = np.zeros_like(x)
         one = np.ones_like(x)
         if self.name == "x":
@@ -187,8 +198,8 @@ class Add(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y):
-        ja, jb = self.a._jet(x, y), self.b._jet(x, y)
+    def _jet(self, x, y, sub):
+        ja, jb = sub(self.a), sub(self.b)
         return Jet2(ja.u + jb.u, ja.ux + jb.ux, ja.uy + jb.uy,
                     ja.uxx + jb.uxx, ja.uxy + jb.uxy, ja.uyy + jb.uyy)
 
@@ -201,8 +212,8 @@ class Sub(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y):
-        ja, jb = self.a._jet(x, y), self.b._jet(x, y)
+    def _jet(self, x, y, sub):
+        ja, jb = sub(self.a), sub(self.b)
         return Jet2(ja.u - jb.u, ja.ux - jb.ux, ja.uy - jb.uy,
                     ja.uxx - jb.uxx, ja.uxy - jb.uxy, ja.uyy - jb.uyy)
 
@@ -215,8 +226,8 @@ class Mul(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y):
-        ja, jb = self.a._jet(x, y), self.b._jet(x, y)
+    def _jet(self, x, y, sub):
+        ja, jb = sub(self.a), sub(self.b)
         return Jet2(
             ja.u * jb.u,
             ja.ux * jb.u + ja.u * jb.ux,
@@ -235,8 +246,8 @@ class Div(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y):
-        ja, jb = self.a._jet(x, y), self.b._jet(x, y)
+    def _jet(self, x, y, sub):
+        ja, jb = sub(self.a), sub(self.b)
         if np.any(jb.u == 0.0):
             raise DomainError("division by zero in field evaluation")
         w = ja.u / jb.u
@@ -256,8 +267,8 @@ class Div(ScalarField):
 class Neg(ScalarField):
     a: ScalarField
 
-    def _jet(self, x, y):
-        j = self.a._jet(x, y)
+    def _jet(self, x, y, sub):
+        j = sub(self.a)
         return Jet2(-j.u, -j.ux, -j.uy, -j.uxx, -j.uxy, -j.uyy)
 
     def diff(self, var):
@@ -273,8 +284,8 @@ class IPow(ScalarField):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise TypeError("exponent must be an integer")
 
-    def _jet(self, x, y):
-        j = self.a._jet(x, y)
+    def _jet(self, x, y, sub):
+        j = sub(self.a)
         n = self.n
         if n == 0:
             z = np.zeros_like(x)
@@ -325,8 +336,8 @@ class OddRootPow(ScalarField):
         if math.gcd(abs(self.p), self.q) != 1:
             raise ValueError("p/q must be in lowest terms (use root_power)")
 
-    def _jet(self, x, y):
-        j = self.a._jet(x, y)
+    def _jet(self, x, y, sub):
+        j = sub(self.a)
         s = j.u
         if np.any(s == 0.0) and self.p - 2 * self.q < 0:
             raise DomainError(
@@ -372,8 +383,8 @@ class AbsPow(ScalarField):
         if not (math.isfinite(self.gamma) and self.gamma > 2.0):
             raise ValueError("gamma must be finite and > 2")
 
-    def _jet(self, x, y):
-        j = self.a._jet(x, y)
+    def _jet(self, x, y, sub):
+        j = sub(self.a)
         s = j.u
         a2 = np.abs(s) ** (self.gamma - 2.0)
         g = a2 * s * s
@@ -399,20 +410,30 @@ def jet2(u: ScalarField, p: Point) -> Jet2:
     return Jet2(*(float(np.asarray(c)) for c in (j.u, j.ux, j.uy, j.uxx, j.uxy, j.uyy)))
 
 
-def O_from_jet(params: OperatorParams, j: Jet2, x, y):
-    return -(y ** params.m1) * j.uxx - (x ** params.m2) * j.uyy
+def operator_weights(params: OperatorParams, x, y):
+    """(y**m1, x**m2), the coefficients O, X and E put on the jet.  A caller
+    evaluating several densities on the same points computes them once and
+    passes them on as weights."""
+    return y ** params.m1, x ** params.m2
 
 
-def X_from_jet(params: OperatorParams, j: Jet2, x, y):
-    return -(y ** params.m1) * j.ux, -(x ** params.m2) * j.uy
+def O_from_jet(params: OperatorParams, j: Jet2, x, y, weights=None):
+    ym1, xm2 = operator_weights(params, x, y) if weights is None else weights
+    return -ym1 * j.uxx - xm2 * j.uyy
+
+
+def X_from_jet(params: OperatorParams, j: Jet2, x, y, weights=None):
+    ym1, xm2 = operator_weights(params, x, y) if weights is None else weights
+    return -ym1 * j.ux, -xm2 * j.uy
 
 
 def D_from_jet(coeffs: Coefficients, j: Jet2, x, y):
     return -coeffs.c1 * x * j.ux - coeffs.c2 * y * j.uy
 
 
-def energy_from_jet(params: OperatorParams, j: Jet2, x, y):
-    return (y ** params.m1) * j.ux ** 2 + (x ** params.m2) * j.uy ** 2
+def energy_from_jet(params: OperatorParams, j: Jet2, x, y, weights=None):
+    ym1, xm2 = operator_weights(params, x, y) if weights is None else weights
+    return ym1 * j.ux ** 2 + xm2 * j.uy ** 2
 
 
 def norm_from_jet(params: OperatorParams, j: Jet2, x, y):

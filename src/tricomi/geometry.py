@@ -459,9 +459,14 @@ def char_ode_residual_at(params: OperatorParams, variant: Variant,
     """Characteristic ODE residual at a point.  slope is dy/dx for
     omega1/omega2 (checks -y^m1 (y')^2 = x^m2) and dx/dy for omega3/omega4
     (checks -y^m1 = x^m2 (x')^2)."""
+    # the slope term is squared as a whole: near the parabolic endpoints
+    # the power underflows while the slope overflows
+    m1, m2 = params.m1, params.m2
     if variant in (Variant.OMEGA1, Variant.OMEGA2):
-        return -(y ** params.m1) * slope * slope - x ** params.m2
-    return -(y ** params.m1) - x ** params.m2 * slope * slope
+        t = abs(y) ** (m1 / 2) * slope
+        return -math.copysign(1.0, y) ** m1 * t * t - x ** m2
+    t = abs(x) ** (m2 / 2) * slope
+    return -(y ** m1) - math.copysign(1.0, x) ** m2 * t * t
 
 
 def char_ode_residual(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> float:

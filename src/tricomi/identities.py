@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -20,8 +21,9 @@ import numpy as np
 
 from .errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                      PreconditionViolated)
-from .field import (SampleFn1D, ScalarField, D_from_jet, O_from_jet, X_from_jet,
-                    energy_from_jet, jet2, norm_from_jet, to_prefix)
+from .field import (Jet2, SampleFn1D, ScalarField, D_from_jet, O_from_jet,
+                    X_from_jet, energy_from_jet, jet2, norm_from_jet,
+                    operator_weights, to_prefix)
 from .geometry import (BoundaryCurveId, DomainSpec, Point, Vec2,
                        boundary_charts, check_starshaped, omega1, omega2,
                        omega3, omega4)
@@ -111,54 +113,128 @@ def reference_domains() -> list[DomainSpec]:
 
 
 # ---------------------------------------------------------------------------
-# cached jets on quadrature grids
+# the jet store: jets and operator weights on quadrature levels
 
-@lru_cache(maxsize=8)
-def _area_jets(u: ScalarField, domain: DomainSpec, cfg: QuadConfig):
-    fine, coarse = quad.domain_grids(domain, cfg)
-    return ((fine, u.jet(fine.x, fine.y)), (coarse, u.jet(coarse.x, coarse.y)))
+# Room for one domain's two suite fields and their operator weights at the
+# default panels (a default domain grid pair has 0.66 M nodes: 30 MiB per
+# field jet, 10 MiB of weights), plus its curve jets.  This cap, not an
+# entry count, bounds what the store pins.
+_STORE_BYTES = 96 << 20
 
-
-@lru_cache(maxsize=48)
-def _curve_jets(u: ScalarField, domain: DomainSpec, curve_id: BoundaryCurveId,
-                cfg: QuadConfig):
-    fine, coarse = quad.curve_grids(domain, curve_id, cfg)
-    return ((fine, u.jet(fine.x, fine.y)), (coarse, u.jet(coarse.x, coarse.y)))
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-def _reduce(density, g, j) -> float:
+class _JetStore:
+    """Byte-capped LRU of arrays computed on quadrature levels: field jets
+    keyed by (level, field) and operator weights keyed by (level, params).
+    Every caller shares a stored array, so each is made read-only.  An
+    entry larger than the whole cap is not kept."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, value):
+        arrays = list(vars(value).values()) if isinstance(value, Jet2) else value
+        for a in arrays:
+            a.flags.writeable = False
+        size = sum({id(a): a.nbytes for a in arrays}.values())
+        self._entries[key] = (value, size)
+        self.nbytes += size
+        while self.nbytes > self.cap:
+            _, (_, gone) = self._entries.popitem(last=False)
+            self.nbytes -= gone
+        return value
+
+
+_STORE = _JetStore(_STORE_BYTES)
+
+
+class _LevelJets:
+    """(grid, jet of u, operator weights) on each level of a grid pair, from
+    the store where present and stored otherwise.  A new jet reuses the
+    stored jet of every subtree already evaluated on the same level.
+    cache_info() counts the calls that found every jet stored."""
+
+    def __init__(self, grids):
+        self._grids = grids
+        self.hits = self.misses = 0
+
+    def __call__(self, u: ScalarField, domain: DomainSpec, *where):
+        levels, found = [], True
+        for i, g in enumerate(self._grids(domain, *where)):
+            site = (self, domain, *where, i)
+            j = _STORE.get((site, u))
+            if j is None:
+                found = False
+                j = _STORE.put((site, u), u.jet(
+                    g.x, g.y, known=lambda node: _STORE.get((site, node))))
+            w = _STORE.get((site, domain.params))
+            if w is None:
+                w = _STORE.put((site, domain.params),
+                               operator_weights(domain.params, g.x, g.y))
+            levels.append((g, j, w))
+        if found:
+            self.hits += 1
+        else:
+            self.misses += 1
+        return tuple(levels)
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses)
+
+
+# the grid builders are looked up at call time, so a wrapper installed on
+# quad's names sees these calls too
+_area_jets = _LevelJets(lambda domain, cfg: quad.domain_grids(domain, cfg))
+_curve_jets = _LevelJets(lambda domain, curve_id, cfg:
+                         quad.curve_grids(domain, curve_id, cfg))
+
+
+def _reduce(density, g, j, w=None) -> float:
     # weighted sum of a pointwise density over one grid level
-    return float(np.sum(np.asarray(density(j, g.x, g.y), float) * g.w))
+    return float(np.sum(np.asarray(density(j, g.x, g.y, w), float) * g.w))
 
 
 def _area_functional(u, domain, cfg, density) -> float:
-    fine, coarse = (_reduce(density, g, j) for g, j in _area_jets(u, domain, cfg))
+    fine, coarse = (_reduce(density, *level) for level in _area_jets(u, domain, cfg))
     return check_two_level(fine, coarse, cfg, "area functional")
 
 
 def _curve_functional(u, domain, curve_id, cfg, form) -> float:
-    (gf, jf), (gc, jc) = _curve_jets(u, domain, curve_id, cfg)
-
-    def total(g, j):
-        p, q = form(j, g.x, g.y)
+    def total(g, j, w):
+        p, q = form(j, g.x, g.y, w)
         p = np.broadcast_to(np.asarray(p, float), g.x.shape)
         q = np.broadcast_to(np.asarray(q, float), g.x.shape)
         return float(np.sum(p * g.wx) + np.sum(q * g.wy))
 
-    return check_two_level(total(gf, jf), total(gc, jc), cfg,
-                           f"curve functional on {curve_id.value}")
+    fine, coarse = (total(*level) for level in _curve_jets(u, domain, curve_id, cfg))
+    return check_two_level(fine, coarse, cfg, f"curve functional on {curve_id.value}")
 
 
 @lru_cache(maxsize=32)
-def _ensure_oriented(domain: DomainSpec, cfg: QuadConfig) -> bool:
+def _ensure_oriented(domain: DomainSpec, cfg: QuadConfig) -> Residual:
+    """The divergence self-test of the domain at cfg, run once per pair;
+    _require_oriented gates the identities on it."""
+    return divergence_selftest(domain, cfg)
+
+
+def _require_oriented(domain: DomainSpec, cfg: QuadConfig):
     # orientation soundness must be established before identities are trusted
-    r = divergence_selftest(domain, cfg)
+    r = _ensure_oriented(domain, cfg)
     gate = max(1e-8, 10.0 * cfg.rel_tol)
     if r.rel_err > gate:
         raise NonConvergence(
             f"divergence self-test rel error {r.rel_err:.3e} exceeds {gate:.1e}; "
             "charts, weights or orientation are unsound at this resolution")
-    return True
 
 
 def _require_vanishing(u, domain, curve_ids, cfg, what: str):
@@ -190,13 +266,12 @@ def _check_F_zero(nonlin: NonlinearitySpec):
 # the boundary 1-forms
 
 def _w1_form(params, co):
-    m1, m2 = params.m1, params.m2
     c1, c2 = co.c1, co.c2
 
-    def form(j, x, y):
-        xu_x, xu_y = X_from_jet(params, j, x, y)
+    def form(j, x, y, w):
+        xu_x, xu_y = X_from_jet(params, j, x, y, w)
         du = D_from_jet(co, j, x, y)
-        e = energy_from_jet(params, j, x, y)
+        e = energy_from_jet(params, j, x, y, w)
         gx = 2.0 * du * xu_x + e * (-c1 * x)
         gy = 2.0 * du * xu_y + e * (-c2 * y)
         return -gy, gx   # flux 1-form of the vector (gx, gy)
@@ -208,8 +283,8 @@ def _w2_form(params, co, nonlin):
     c1, c2 = co.c1, co.c2
     c = float(co.c)
 
-    def form(j, x, y):
-        xu_x, xu_y = X_from_jet(params, j, x, y)
+    def form(j, x, y, w):
+        xu_x, xu_y = X_from_jet(params, j, x, y, w)
         fu = np.asarray(nonlin.F(j.u), float)
         gx = -2.0 * fu * (-c1 * x) - 2.0 * c * j.u * xu_x
         gy = -2.0 * fu * (-c2 * y) - 2.0 * c * j.u * xu_y
@@ -256,15 +331,15 @@ def step1_residual(u: ScalarField, domain: DomainSpec,
     """For u vanishing on AC:
     2 * int D(u) O(u) = 2c * int E + int_{BC u sigma} w1."""
     t0 = time.perf_counter()
-    _ensure_oriented(domain, cfg)
+    _require_oriented(domain, cfg)
     _require_vanishing(u, domain, [BoundaryCurveId.AC], cfg, "step1")
     params, co = domain.params, coefficients(domain.params)
     c = float(co.c)
 
-    lhs = _area_functional(u, domain, cfg, lambda j, x, y:
-                           D_from_jet(co, j, x, y) * O_from_jet(params, j, x, y))
-    e_int = _area_functional(u, domain, cfg, lambda j, x, y:
-                             energy_from_jet(params, j, x, y))
+    lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
+                           D_from_jet(co, j, x, y) * O_from_jet(params, j, x, y, w))
+    e_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
+                             energy_from_jet(params, j, x, y, w))
     w1 = _w1_form(params, co)
     b = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, w1) \
         + _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, w1)
@@ -279,19 +354,19 @@ def step2_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
     """For u vanishing on AC and sigma, F(0) = 0:
     int D(u) f(u) = kappa * int F(u) + int_BC F(u) V . eta."""
     t0 = time.perf_counter()
-    _ensure_oriented(domain, cfg)
+    _require_oriented(domain, cfg)
     _check_F_zero(nonlin)
     _require_vanishing(u, domain, [BoundaryCurveId.AC, BoundaryCurveId.SIGMA],
                        cfg, "step2")
     params, co = domain.params, coefficients(domain.params)
     c1, c2 = co.c1, co.c2
 
-    lhs = _area_functional(u, domain, cfg, lambda j, x, y:
+    lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
                            D_from_jet(co, j, x, y) * np.asarray(nonlin.f(j.u), float))
-    f_int = _area_functional(u, domain, cfg, lambda j, x, y:
+    f_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
                              np.asarray(nonlin.F(j.u), float))
 
-    def fv_form(j, x, y):
+    def fv_form(j, x, y, w):
         fu = np.asarray(nonlin.F(j.u), float)
         return -fu * (-c2 * y), fu * (-c1 * x)
 
@@ -307,18 +382,18 @@ def step3_residual(u: ScalarField, domain: DomainSpec,
     """For u vanishing on AC and sigma:
     int u O(u) = int E + int_BC u Xu . eta."""
     t0 = time.perf_counter()
-    _ensure_oriented(domain, cfg)
+    _require_oriented(domain, cfg)
     _require_vanishing(u, domain, [BoundaryCurveId.AC, BoundaryCurveId.SIGMA],
                        cfg, "step3")
     params, co = domain.params, coefficients(domain.params)
 
-    lhs = _area_functional(u, domain, cfg, lambda j, x, y:
-                           j.u * O_from_jet(params, j, x, y))
-    e_int = _area_functional(u, domain, cfg, lambda j, x, y:
-                             energy_from_jet(params, j, x, y))
+    lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
+                           j.u * O_from_jet(params, j, x, y, w))
+    e_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
+                             energy_from_jet(params, j, x, y, w))
 
-    def uxu_form(j, x, y):
-        xu_x, xu_y = X_from_jet(params, j, x, y)
+    def uxu_form(j, x, y, w):
+        xu_x, xu_y = X_from_jet(params, j, x, y, w)
         return -j.u * xu_y, j.u * xu_x
 
     bc = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, uxu_form)
@@ -335,16 +410,16 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
       = (1/2)[int_{BC u sigma} w1 + int_BC w2] + int (Du - c u)(f(u) - O u).
     For a true solution (O u = f(u)) the defect vanishes."""
     t0 = time.perf_counter()
-    _ensure_oriented(domain, cfg)
+    _require_oriented(domain, cfg)
     _check_F_zero(nonlin)
     _require_vanishing(u, domain, [BoundaryCurveId.AC, BoundaryCurveId.SIGMA],
                        cfg, "pohozaev")
     params, co = domain.params, coefficients(domain.params)
     c = float(co.c)
 
-    f_int = _area_functional(u, domain, cfg, lambda j, x, y:
+    f_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
                              np.asarray(nonlin.F(j.u), float))
-    uf_int = _area_functional(u, domain, cfg, lambda j, x, y:
+    uf_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
                               j.u * np.asarray(nonlin.f(j.u), float))
     lhs = float(co.kappa) * f_int - c * uf_int
 
@@ -355,10 +430,10 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
     b2 = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, w2)
     rhs = 0.5 * (b1 + b2)
 
-    defect = _area_functional(u, domain, cfg, lambda j, x, y:
+    defect = _area_functional(u, domain, cfg, lambda j, x, y, w:
                               (D_from_jet(co, j, x, y) - c * j.u)
                               * (np.asarray(nonlin.f(j.u), float)
-                                 - O_from_jet(params, j, x, y)))
+                                 - O_from_jet(params, j, x, y, w)))
     sides = {"F_integral": f_int, "uf_integral": uf_int,
              "omega1_boundary": b1, "omega2_boundary_BC": b2}
     note = ("defect form: the identity is conditional on O u = f(u); "
@@ -374,7 +449,7 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
     elliptic half-plane y >= 0 (omega1, omega2) and exactly zero on the
     omega4 segment; the omega3 arc dips into y < 0 where the integrand is
     sign-indefinite, so no sign claim is made there."""
-    _ensure_oriented(domain, cfg)
+    _require_oriented(domain, cfg)
     _require_vanishing(u, domain, [BoundaryCurveId.SIGMA], cfg,
                        "sigma_boundary_sign")
     rep = check_starshaped(domain)
@@ -385,8 +460,8 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
     params, co = domain.params, coefficients(domain.params)
     c1, c2 = co.c1, co.c2
 
-    def form(j, x, y):
-        e = energy_from_jet(params, j, x, y)
+    def form(j, x, y, w):
+        e = energy_from_jet(params, j, x, y, w)
         return -c2 * y * e, c1 * x * e
 
     return _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, form)
@@ -395,10 +470,17 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
 # ---------------------------------------------------------------------------
 # scaling ratios
 
-def _box_integral(u, lx, ly, cfg, density) -> float:
-    fine, coarse = (_reduce(density, g, u.jet(g.x, g.y))
-                    for g in quad.box_grids(lx, ly, cfg))
-    return check_two_level(fine, coarse, cfg, "box integral")
+@lru_cache(maxsize=32)
+def _box_sums(u: ScalarField, lx: float, ly: float, pexp: float,
+              params: OperatorParams, cfg: QuadConfig):
+    """(fine, coarse) sums of |u|**pexp and of the weighted-gradient density
+    over the box [-lx, lx] x [-ly, ly], both reduced from one jet per level."""
+    lp, grad = [], []
+    for g in quad.box_grids(lx, ly, cfg):
+        j = u.jet(g.x, g.y)
+        lp.append(_reduce(lambda j, x, y, w: np.abs(j.u) ** pexp, g, j))
+        grad.append(_reduce(lambda j, x, y, w: norm_from_jet(params, j, x, y), g, j))
+    return tuple(lp), tuple(grad)
 
 
 def scaling_ratios(u: ScalarField, lam: float, pexp: float,
@@ -418,16 +500,11 @@ def scaling_ratios(u: ScalarField, lam: float, pexp: float,
     lx, ly = 1.0, 1.0
     lxd, lyd = lam ** coeffs.c1 * lx, lam ** coeffs.c2 * ly
 
-    def lp(j, x, y):
-        return np.abs(j.u) ** pexp
-
-    def grad(j, x, y):
-        return norm_from_jet(params, j, x, y)
-
-    lp_base = _box_integral(u, lx, ly, cfg, lp)
-    lp_dil = _box_integral(ul, lxd, lyd, cfg, lp)
-    gr_base = _box_integral(u, lx, ly, cfg, grad)
-    gr_dil = _box_integral(ul, lxd, lyd, cfg, grad)
+    lp_base, gr_base = _box_sums(u, lx, ly, pexp, params, cfg)
+    lp_dil, gr_dil = _box_sums(ul, lxd, lyd, pexp, params, cfg)
+    lp_base, lp_dil, gr_base, gr_dil = (
+        check_two_level(fine, coarse, cfg, "box integral")
+        for fine, coarse in (lp_base, lp_dil, gr_base, gr_dil))
     if lp_base == 0.0 or gr_base == 0.0:
         raise PreconditionViolated("u must not vanish identically on the box")
     return {"lp_ratio": lp_dil / lp_base, "grad_ratio": gr_dil / gr_base}

@@ -103,9 +103,11 @@ def check_two_level(fine: float, coarse: float, cfg: QuadConfig,
         problem = "did not settle"
     else:
         return fine
+    panels = (cfg.panels_per_axis, max(1, cfg.panels_per_axis // 2))
     raise NonConvergence(
         f"{what} {problem}: {fine!r} vs {coarse!r} "
-        f"(panels {cfg.panels_per_axis} vs {max(1, cfg.panels_per_axis // 2)})")
+        f"(panels {panels[0]} vs {panels[1]})",
+        what=what, fine=fine, coarse=coarse, panels=panels)
 
 
 def _interval_sum(f, lo: float, hi: float, order: int, panels: int) -> float:

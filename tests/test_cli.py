@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tricomi import identities as ident
 from tricomi.cli import run
 
 
@@ -254,11 +255,19 @@ def test_suite_skips_inadmissible_and_passes(tmp_path, capsys):
     assert keys == sorted(keys)
 
 
-def test_suite_reference_fixture_full_run(tmp_path, capsys):
+def test_suite_reference_fixture_full_run(tmp_path, capsys, monkeypatch):
+    # the suite's divergence-selftest records reuse the self-test that
+    # gates the identities: one self-test per domain
+    ident._ensure_oriented.cache_clear()
+    selftests = []
+    selftest = ident.divergence_selftest
+    monkeypatch.setattr(ident, "divergence_selftest", lambda dom, cfg:
+                        selftests.append(dom) or selftest(dom, cfg))
     rep = tmp_path / "r.json"
     rc = run(["suite", "--m1", "1", "--m2", "4", "--x0", "-0.5",
               "--report", str(rep)])
     assert rc == 0
+    assert len(selftests) == 4 and len(set(selftests)) == 4
     doc = json.loads(rep.read_text())
     assert doc["pass"] is True
     assert "skipped_variants" not in doc

@@ -356,3 +356,16 @@ def test_boundary_svg_deterministic():
     assert svg.startswith("<svg")
     assert svg.count("<path") == 3
     assert svg == boundary_svg(dom, samples_per_piece=16)
+
+
+def test_char_ode_residual_squares_the_slope_term_whole():
+    # graded AC sample of omega1(9, 16, -0.5) at 1 % of the chart range:
+    # y**9 underflows to 0 while slope**2 overflows, so multiplying them
+    # out term by term reads -1.0 at a point on the curve
+    dom = omega1(9, 16, -0.5)
+    chart = next(c for c in boundary_charts(dom) if c.curve is B.AC)
+    x, y, dx, dy = (float(v) for v in
+                    chart.fn(np.array(chart.lo + 0.01 * (chart.hi - chart.lo))))
+    slope = dy / dx
+    assert -1e-36 < y < 0 and abs(slope) > 1e160
+    assert abs(char_ode_residual_at(dom.params, dom.variant, x, y, slope)) <= 1e-12

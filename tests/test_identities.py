@@ -8,10 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tricomi import identities, quad
 from tricomi.errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                             PreconditionViolated)
-from tricomi.field import X, Y, Const, SampleFn1D, VANISH_AC, manufactured
-from tricomi.geometry import ParametricArc, Point, Vec2, omega1
+from tricomi.field import (X, Y, Const, SampleFn1D, ScalarField, VANISH_AC,
+                           manufactured)
+from tricomi.geometry import ParametricArc, Point, Vec2, omega1, omega4
 from tricomi.identities import (HardyParams, IdentityReport, boundary_energy_I,
                                 equivalence_chain, hardy_GL, hardy_GL_numeric,
                                 hardy_constants, hardy_inequality_check,
@@ -332,3 +334,88 @@ def test_identities_honor_quad_config():
     rep = step3_residual(manufactured(dom), dom, cfg=cfg)
     assert rep.quad["gauss_order"] == 6
     assert rep.rel_err <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the jet store: each jet, weight and self-test computed once per level
+
+SMALL = QuadConfig(panels_per_axis=8)
+
+
+def _fresh_store(monkeypatch, cap=identities._STORE_BYTES):
+    store = identities._JetStore(cap)
+    monkeypatch.setattr(identities, "_STORE", store)
+    return store
+
+
+def _same_jet(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("u", "ux", "uy", "uxx", "uxy", "uyy"))
+
+
+def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
+    store = _fresh_store(monkeypatch)
+    found, get = [], store.get
+
+    def spy(key):
+        j = get(key)
+        if j is not None:
+            found.append(key[-1])
+        return j
+
+    monkeypatch.setattr(store, "get", spy)
+    for dom in reference_domains():
+        base = manufactured(dom)
+        second = base * (Const(1.0) + X / 2 - Y / 3)
+        identities._area_jets(base, dom, SMALL)
+        found.clear()
+        levels = identities._area_jets(second, dom, SMALL)
+        assert base in found       # the base field's stored jet was reused
+        for g, j, _ in levels:
+            assert _same_jet(j, second.jet(g.x, g.y))
+
+
+def test_scaling_ratios_evaluates_one_jet_per_field_and_box_level(monkeypatch):
+    identities._box_sums.cache_clear()
+    calls = []
+    jet = ScalarField.jet
+    monkeypatch.setattr(ScalarField, "jet", lambda self, *a, **k:
+                        calls.append(self) or jet(self, *a, **k))
+    co = coefficients(OperatorParams(1, 4))
+    cfg = QuadConfig(panels_per_axis=4)
+    got = [scaling_ratios(BUMP, lam, 4.0, co, cfg) for lam in (0.5, 2.0)]
+    # the base box once per level, each dilated box once per level
+    assert len(calls) == 6
+    assert got[1]["lp_ratio"] == 2.0 ** co.kappa
+
+
+def test_jet_store_keeps_to_its_byte_cap(monkeypatch):
+    dom = omega1(1, 4, -0.5)
+    fine, coarse = quad.domain_grids(dom, SMALL)
+    per_field = 48 * (fine.x.size + coarse.x.size)
+    store = _fresh_store(monkeypatch, cap=int(2.5 * per_field))
+    fields = [manufactured(dom) * (Const(1.0) + k * X) for k in range(4)]
+    first = [(j.u.copy(), j.uyy.copy())
+             for _, j, _ in identities._area_jets(fields[0], dom, SMALL)]
+    for u in fields[1:]:
+        identities._area_jets(u, dom, SMALL)
+        assert 0 < store.nbytes <= store.cap
+    misses = identities._area_jets.cache_info().misses
+    again = identities._area_jets(fields[0], dom, SMALL)
+    assert identities._area_jets.cache_info().misses == misses + 1  # evicted
+    for (u0, uyy0), (_, j, _) in zip(first, again):
+        assert np.array_equal(u0, j.u) and np.array_equal(uyy0, j.uyy)
+    assert store.nbytes <= store.cap
+    # an entry larger than the whole cap is not kept
+    tiny = identities._JetStore(64)
+    tiny.put("big", (np.zeros(16),))
+    assert tiny.nbytes == 0 and tiny.get("big") is None
+
+
+def test_stored_jets_and_weights_are_read_only(monkeypatch):
+    _fresh_store(monkeypatch)
+    dom = omega4(1, 0, -0.5)
+    (_, j, (ym1, xm2)), _ = identities._area_jets(manufactured(dom), dom, SMALL)
+    for arr in (j.u, j.uxx, ym1, xm2):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0

@@ -73,6 +73,15 @@ def test_check_two_level():
     assert "did not settle" in str(ei.value)
 
 
+def test_non_convergence_carries_structured_fields():
+    cfg = QuadConfig(panels_per_axis=8)
+    with pytest.raises(NonConvergence) as ei:
+        check_two_level(1.0, 1.1, cfg, "box integral")
+    e = ei.value
+    assert (e.what, e.fine, e.coarse, e.panels) == ("box integral", 1.0, 1.1, (8, 4))
+    assert str(e) == "box integral did not settle: 1.0 vs 1.1 (panels 8 vs 4)"
+
+
 def test_check_two_level_rejects_non_finite_levels():
     # NaN fails every tolerance comparison and inf - inf is NaN, so both
     # would slip through a gap test alone
