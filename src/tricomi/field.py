@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegeneracyLine, DomainError, OutOfRange
 from .geometry import DomainSpec, EllipticArc, ParametricArc, Point, Variant, Vec2
 from .params import Coefficients, OperatorParams, coefficients
+from .quad import _blockwise
 
 __all__ = [
     "Jet2",
@@ -91,15 +92,31 @@ class ScalarField:
         """Jet at the points (x, y).  known(node), when given, returns the
         jet of a subtree already evaluated on these same points, or None;
         a returned jet is used instead of evaluating that subtree again,
-        so the result is bit-identical to a cold evaluation."""
+        so the result is bit-identical to a cold evaluation.
+
+        Points beyond one block are evaluated block by block (see
+        quad._blockwise): the tree is walked once per block and each known
+        jet is looked up once per call and sliced for every block."""
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                      np.asarray(y, dtype=float))
+        looked = {}  # id(node) -> (node, known jet or None); node pins the id
 
-        def sub(node):
-            j = None if known is None else known(node)
-            return node._jet(xb, yb, sub) if j is None else j
+        def block(sl):
+            xs, ys = xb[sl], yb[sl]
 
-        return sub(self)
+            def sub(node):
+                entry = looked.get(id(node))
+                if entry is None:
+                    entry = looked[id(node)] = (
+                        node, None if known is None else known(node))
+                j = entry[1]
+                if j is None:
+                    return node._jet(xs, ys, sub)
+                return j if sl is ... else Jet2(*(c[sl] for c in vars(j).values()))
+
+            return tuple(vars(sub(self)).values())
+
+        return Jet2(*_blockwise(xb, block))
 
     def _jet(self, x, y, sub) -> Jet2:
         # sub(child) is the jet of a child node on the same points

@@ -237,18 +237,25 @@ def _require_oriented(domain: DomainSpec, cfg: QuadConfig):
             "charts, weights or orientation are unsound at this resolution")
 
 
-def _require_vanishing(u, domain, curve_ids, cfg, what: str):
-    # sample each named piece; tolerance is relative to the field size on
-    # the whole boundary so an honestly nonzero field always trips it
-    charts = {c.curve: c for c in boundary_charts(domain, cfg.grade_endpoints)}
-    scale = 1.0
-    vals = {}
+@lru_cache(maxsize=32)
+def _boundary_maxima(u, domain, graded: bool) -> tuple:
+    """(curve id, max |u| over 100 samples) for each boundary piece, in
+    chart order; every identity on the same (u, domain) asks for these."""
+    charts = {c.curve: c for c in boundary_charts(domain, graded)}
+    maxima = []
     for cid, chart in charts.items():
         tau = chart.lo + (chart.hi - chart.lo) * (np.arange(100) + 0.5) / 100.0
         x, y, _, _ = chart.fn(tau)
         v = np.asarray(u(np.asarray(x, float), np.asarray(y, float)), float)
-        vals[cid] = float(np.max(np.abs(v)))
-        scale = max(scale, vals[cid])
+        maxima.append((cid, float(np.max(np.abs(v)))))
+    return tuple(maxima)
+
+
+def _require_vanishing(u, domain, curve_ids, cfg, what: str):
+    # tolerance is relative to the field size on the whole boundary so an
+    # honestly nonzero field always trips it
+    vals = dict(_boundary_maxima(u, domain, cfg.grade_endpoints))
+    scale = max([1.0, *vals.values()])
     for cid in curve_ids:
         if vals[cid] > 1e-10 * scale:
             raise PreconditionViolated(

@@ -203,7 +203,6 @@ def _quadrant(sx: float, sy: float, lx: float, ly: float):
     return fn
 
 
-@lru_cache(maxsize=32)
 def box_grids(lx: float, ly: float, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
     """(fine, coarse) grids on the box [-lx, lx] x [-ly, ly], one chart per
     sign quadrant so |x|, |y| weights stay smooth per chart."""
@@ -223,12 +222,40 @@ def curve_grids(domain, curve_id: BoundaryCurveId | None,
     return _two_levels(lambda panels: _curve_level(charts, cfg.gauss_order, panels), cfg)
 
 
+# Pointwise kernels over a grid level run on blocks of this many points, so
+# their temporaries stay in cache instead of spanning the whole level.
+_BLOCK = 1 << 14
+
+
+def _blockwise(x: np.ndarray, kernel) -> tuple:
+    """kernel(sl) returns a tuple of arrays on the points x[sl].  Over a 1-D
+    x longer than _BLOCK it runs once per block of _BLOCK points and each
+    result is written into its own preallocated output of x's length; any
+    other x is one kernel(...) call on all of x.  Elementwise results
+    do not depend on the block, so the outputs are bit-identical to one
+    whole-array call; reductions belong to the caller, over whole outputs."""
+    if x.ndim != 1 or x.size <= _BLOCK:
+        return kernel(...)
+    outs = None
+    for start in range(0, x.size, _BLOCK):
+        sl = slice(start, start + _BLOCK)
+        parts = kernel(sl)
+        if outs is None:
+            outs = tuple(np.empty(x.size) for _ in parts)
+        for out, part in zip(outs, parts):
+            out[sl] = part
+    return outs
+
+
 def _eval_on(g, x, y):
-    vals = g(x, y)
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != x.shape:
-        vals = np.asarray(np.vectorize(g)(x, y), dtype=float)
-    return vals
+    def kernel(sl):
+        xs, ys = x[sl], y[sl]
+        vals = np.asarray(g(xs, ys), dtype=float)
+        if vals.shape != xs.shape:
+            vals = np.asarray(np.vectorize(g, otypes=[float])(xs, ys), dtype=float)
+        return (vals,)
+
+    return _blockwise(x, kernel)[0]
 
 
 def integrate_domain(g, domain, cfg: QuadConfig) -> float:

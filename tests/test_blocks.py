@@ -1,0 +1,105 @@
+"""Blocked evaluation: jets and area integrands over a grid level are computed
+in blocks of quad._BLOCK points and must equal one whole-array evaluation
+bit for bit, raise the same errors, and keep their temporaries small."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tricomi import quad
+from tricomi.errors import DomainError
+from tricomi.field import X, Y, Const, Div, manufactured
+from tricomi.identities import reference_domains
+from tricomi.quad import QuadConfig
+
+# 18 panels: on every reference domain both levels span more than one block
+# (omega4's coarse level 1.27 blocks), neither a whole number of them
+CFG = QuadConfig(panels_per_axis=18)
+
+
+def _identical(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _same_jet(j1, j2) -> bool:
+    return all(_identical(getattr(j1, c), getattr(j2, c))
+               for c in ("u", "ux", "uy", "uxx", "uxy", "uyy"))
+
+
+def _one_block(monkeypatch, fn):
+    # the same evaluation with a block larger than any grid: one tree walk
+    with monkeypatch.context() as m:
+        m.setattr(quad, "_BLOCK", 1 << 40)
+        return fn()
+
+
+@pytest.mark.parametrize("dom", reference_domains(), ids=lambda d: d.variant.value)
+def test_blocked_jets_equal_the_single_block_walk(monkeypatch, dom):
+    base = manufactured(dom)
+    second = base * (Const(1.0) + X / 2 - Y / 3)
+    for g in quad.domain_grids(dom, CFG):
+        assert g.x.size > quad._BLOCK and g.x.size % quad._BLOCK
+        jb = base.jet(g.x, g.y)
+        assert _same_jet(jb, _one_block(monkeypatch, lambda: base.jet(g.x, g.y)))
+        known = {base: jb}.get   # the subtree-reuse path
+        js = second.jet(g.x, g.y, known=known)
+        assert _same_jet(js, _one_block(
+            monkeypatch, lambda: second.jet(g.x, g.y, known=known)))
+        assert _same_jet(js, _one_block(monkeypatch, lambda: second.jet(g.x, g.y)))
+
+
+def test_known_subtrees_are_looked_up_once_per_call():
+    x = np.linspace(-1.0, 1.0, 3 * quad._BLOCK + 7)
+    base = X * X - Y
+    field = base * (Const(1.0) + X / 2)
+    jb = base.jet(x, 0.5 * x)
+    asked = []
+
+    def known(node):
+        asked.append(node)
+        return jb if node == base else None
+
+    field.jet(x, 0.5 * x, known=known)
+    assert asked.count(base) == 1
+    assert len(asked) == len({id(n) for n in asked})
+
+
+def test_division_by_zero_in_the_last_block_raises():
+    x = np.linspace(0.0, 1.0, 3 * quad._BLOCK + 5)
+    u = Div(Const(1.0), X - Const(float(x[-1])))   # zero at the last point only
+    with pytest.raises(DomainError):
+        u.jet(x, x)
+    assert np.all(np.isfinite(u(x[:-1], x[:-1])))
+
+
+def test_blocked_eval_on_equals_the_whole_array(monkeypatch):
+    rng = np.random.default_rng(7)
+    x, y = rng.uniform(-1.0, 1.0, (2, 2 * quad._BLOCK + 11))
+
+    def poly(x, y):
+        return x ** 3 - 2.0 * x * y + y ** 5
+
+    def scalar_only(x, y):
+        # returns one number for an array, so _eval_on falls back to
+        # np.vectorize and evaluates it point by point
+        return x * y - 0.25 if np.ndim(x) == 0 else 0.0
+
+    for g in (poly, scalar_only):
+        got = quad._eval_on(g, x, y)
+        assert _identical(got, _one_block(monkeypatch, lambda: quad._eval_on(g, x, y)))
+    assert _identical(quad._eval_on(scalar_only, x, y), x * y - 0.25)
+
+
+def test_fine_level_jet_peak_memory_stays_near_its_output():
+    dom = reference_domains()[0]
+    u = manufactured(dom)
+    fine, _ = quad.domain_grids(dom, QuadConfig())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        j = u.jet(fine.x, fine.y)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    out = sum(c.nbytes for c in vars(j).values())
+    assert peak <= 1.5 * out, (peak, out)

@@ -375,6 +375,27 @@ def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
             assert _same_jet(j, second.jet(g.x, g.y))
 
 
+def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
+    identities._boundary_maxima.cache_clear()
+    dom = omega1(1, 4, -0.5)
+    u = manufactured(dom, VANISH_AC)   # zero on AC, alive on sigma
+    sampled = []
+    jet = ScalarField.jet
+
+    def spy(self, x, y, known=None):
+        if np.size(x) == 100:          # the precondition's samples per piece
+            sampled.append(self)
+        return jet(self, x, y, known)
+
+    monkeypatch.setattr(ScalarField, "jet", spy)
+    step1_residual(u, dom, SMALL)
+    assert len(sampled) == 3           # AC, BC and sigma, once each
+    step1_residual(u, dom, SMALL)
+    with pytest.raises(PreconditionViolated, match="step3 needs u = 0 on"):
+        step3_residual(u, dom, SMALL)  # the gate still reads the cached maxima
+    assert len(sampled) == 3
+
+
 def test_scaling_ratios_evaluates_one_jet_per_field_and_box_level(monkeypatch):
     identities._box_sums.cache_clear()
     calls = []
