@@ -177,6 +177,14 @@ def _quad_config(cfg: dict) -> QuadConfig:
     )
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    # a count below 1 would make its check or table vacuous
+    n = _get(cfg, key, default)
+    if n < 1:
+        raise ValueError(f"--{key.replace('_', '-')} must be at least 1")
+    return n
+
+
 def _require(cfg: dict, *keys: str):
     missing = [k for k in keys if cfg.get(k) is None]
     if missing:
@@ -223,6 +231,21 @@ def _manual_report(identity: str, m1: int, m2: int, lhs: float, rhs: float,
         identity=identity, variant=variant, m1=m1, m2=m2, anchor=anchor,
         field=field, f=f, lhs=lhs, rhs=rhs, defect=0.0,
         sides=sides or {}, quad={}, passed=passed, seconds=seconds, note=note)
+
+
+def _sigma_sign_report(u, dom: DomainSpec, qcfg: QuadConfig) -> ident.IdentityReport:
+    t0 = time.perf_counter()
+    val = ident.sigma_boundary_sign(u, dom, qcfg)
+    claimed = dom.variant.value in _SIGN_CLAIM_VARIANTS
+    note = ("sign claim holds: sigma lies in y >= 0" if claimed else
+            "no sign claim: this sigma dips below y = 0")
+    # a one-sided bound check: record the observed value on both sides so
+    # rel_err stays 0, and keep the bound in sides
+    return _manual_report(
+        "sigma-sign", dom.params.m1, dom.params.m2, val, val,
+        not claimed or val >= -1e-9, variant=dom.variant.value,
+        anchor=dom.anchor, field=to_prefix(u), note=note,
+        sides={"value": val, "bound": -1e-9}, seconds=time.perf_counter() - t0)
 
 
 def _finalize(reports: list, timing: bool) -> list:
@@ -292,6 +315,7 @@ def _cmd_exponent(cfg: dict) -> int:
 
 
 def _cmd_domain(cfg: dict) -> int:
+    samples = _count(cfg, "samples", 200)
     dom = _make_domain(cfg)
     a, b = endpoints(dom)
     apex = dom.apex
@@ -303,7 +327,6 @@ def _cmd_domain(cfg: dict) -> int:
     rep = check_starshaped(dom)
     print(f"starlike {'true' if rep.is_starlike else 'false'}")
     print(f"min_form {rep.min_form!r}")
-    samples = _get(cfg, "samples", 200)
     if cfg.get("csv"):
         with open(cfg["csv"], "w", encoding="utf-8") as fh:
             fh.write(boundary_csv(dom, samples_per_piece=samples))
@@ -321,9 +344,7 @@ def _cmd_flow(cfg: dict) -> int:
     from .geometry import Point
     p0 = Point(cfg["x"], cfg["y"])
     t_max = _get(cfg, "t_max", 3.0)
-    steps = _get(cfg, "steps", 100)
-    if steps < 1:
-        raise ValueError("--steps must be at least 1")
+    steps = _count(cfg, "steps", 100)
     lines = ["t,x,y"]
     for i in range(steps + 1):
         t = t_max * i / steps
@@ -356,21 +377,7 @@ def _cmd_verify(cfg: dict) -> int:
         elif which == "pohozaev":
             reports.append(ident.pohozaev_residual(u, _make_nonlin(cfg), dom, qcfg))
         else:
-            t0 = time.perf_counter()
-            val = ident.sigma_boundary_sign(u, dom, qcfg)
-            claimed = dom.variant.value in _SIGN_CLAIM_VARIANTS
-            note = ("sign claim holds: sigma lies in y >= 0"
-                    if claimed else
-                    "no sign claim: this sigma dips below y = 0")
-            # a one-sided bound check: record the observed value on both
-            # sides so rel_err stays 0, and keep the bound in sides
-            reports.append(_manual_report(
-                "sigma-sign", dom.params.m1, dom.params.m2, val, val,
-                (val >= -1e-9) if claimed else True,
-                variant=dom.variant.value, anchor=dom.anchor,
-                field=to_prefix(u), note=note,
-                sides={"value": val, "bound": -1e-9},
-                seconds=time.perf_counter() - t0))
+            reports.append(_sigma_sign_report(u, dom, qcfg))
 
     return _run_checks(cfg, compute)
 
@@ -457,7 +464,8 @@ def _cmd_hardy(cfg: dict) -> int:
     pq = ident.HardyParams(p=_get(cfg, "p", 2.0), q=_get(cfg, "q", 2.0),
                            y_c=_get(cfg, "y_c", -1.0))
     qcfg = _quad_config(cfg)
-    sweeps = _get(cfg, "sweeps", 100)
+    sweeps = _count(cfg, "sweeps", 100)
+    n = _count(cfg, "table_points", 100)
     seed = _get(cfg, "seed", 42)
 
     def show(reports):
@@ -468,7 +476,6 @@ def _cmd_hardy(cfg: dict) -> int:
         print(f"C_L_high {consts['C_L_high']}")
         print(f"grid_sup {reports[0].lhs!r}")
         if cfg.get("table"):
-            n = _get(cfg, "table_points", 100)
             params = OperatorParams(cfg["m1"], cfg["m2"])
             lines = ["x,GL"]
             for i in range(n):
@@ -519,15 +526,7 @@ def _cmd_suite(cfg: dict) -> int:
                     reports.append(ident.step2_residual(u, nl, dom, qcfg))
                     reports.append(ident.pohozaev_residual(u, nl, dom, qcfg))
             if dom.variant.value in _SIGN_CLAIM_VARIANTS:
-                t0 = time.perf_counter()
-                val = ident.sigma_boundary_sign(base, dom, qcfg)
-                reports.append(_manual_report(
-                    "sigma-sign", m1, m2, val, val, val >= -1e-9,
-                    variant=dom.variant.value, anchor=dom.anchor,
-                    field=to_prefix(base),
-                    note="sign claim holds: sigma lies in y >= 0",
-                    sides={"value": val, "bound": -1e-9},
-                    seconds=time.perf_counter() - t0))
+                reports.append(_sigma_sign_report(base, dom, qcfg))
         reports.extend(_scaling_reports(m1, m2, [0.5, 2.0], 4.0,
                                         _DEFAULT_BUMP, qcfg,
                                         to_prefix(_DEFAULT_BUMP)))

@@ -10,7 +10,7 @@ jets everywhere, vanishing at s = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -550,17 +550,10 @@ def substitute(u: ScalarField, fx: ScalarField, fy: ScalarField) -> ScalarField:
         return fx if u.name == "x" else fy
     if isinstance(u, Const):
         return u
-    if isinstance(u, (Add, Sub, Mul, Div)):
-        return type(u)(substitute(u.a, fx, fy), substitute(u.b, fx, fy))
-    if isinstance(u, Neg):
-        return Neg(substitute(u.a, fx, fy))
-    if isinstance(u, IPow):
-        return IPow(substitute(u.a, fx, fy), u.n)
-    if isinstance(u, OddRootPow):
-        return OddRootPow(substitute(u.a, fx, fy), u.p, u.q)
-    if isinstance(u, AbsPow):
-        return AbsPow(substitute(u.a, fx, fy), u.gamma)
-    raise TypeError(f"cannot substitute into {type(u).__name__}")
+    if type(u) not in _TOKENS:
+        raise TypeError(f"cannot substitute into {type(u).__name__}")
+    return type(u)(*(substitute(v, fx, fy) if isinstance(v, ScalarField) else v
+                     for v in _operands(u)))
 
 
 def dilate(u: ScalarField, lam: float, coeffs: Coefficients) -> ScalarField:
@@ -575,29 +568,36 @@ def dilate(u: ScalarField, lam: float, coeffs: Coefficients) -> ScalarField:
 # ---------------------------------------------------------------------------
 # prefix grammar
 
+# token -> (node class, builder, field operands, converters of the literal
+# operands that follow them); a node's operands are its dataclass fields
+_GRAMMAR = {
+    "+": (Add, Add, 2, ()),
+    "-": (Sub, Sub, 2, ()),
+    "*": (Mul, Mul, 2, ()),
+    "/": (Div, Div, 2, ()),
+    "neg": (Neg, Neg, 1, ()),
+    "pow": (IPow, IPow, 1, (int,)),
+    "root": (OddRootPow, root_power, 1, (int, int)),
+    "abspow": (AbsPow, AbsPow, 1, (float,)),
+}
+_TOKENS = {cls: token for token, (cls, *_) in _GRAMMAR.items()}
+
+
+def _operands(u: ScalarField) -> list:
+    return [getattr(u, f.name) for f in fields(u)]
+
+
 def to_prefix(u: ScalarField) -> str:
     """Serialize to the prefix grammar understood by parse_field."""
     if isinstance(u, Const):
         return repr(u.v)
     if isinstance(u, Coord):
         return u.name
-    if isinstance(u, Add):
-        return f"(+ {to_prefix(u.a)} {to_prefix(u.b)})"
-    if isinstance(u, Sub):
-        return f"(- {to_prefix(u.a)} {to_prefix(u.b)})"
-    if isinstance(u, Mul):
-        return f"(* {to_prefix(u.a)} {to_prefix(u.b)})"
-    if isinstance(u, Div):
-        return f"(/ {to_prefix(u.a)} {to_prefix(u.b)})"
-    if isinstance(u, Neg):
-        return f"(neg {to_prefix(u.a)})"
-    if isinstance(u, IPow):
-        return f"(pow {to_prefix(u.a)} {u.n})"
-    if isinstance(u, OddRootPow):
-        return f"(root {to_prefix(u.a)} {u.p} {u.q})"
-    if isinstance(u, AbsPow):
-        return f"(abspow {to_prefix(u.a)} {u.gamma!r})"
-    raise TypeError(f"cannot serialize {type(u).__name__}")
+    if type(u) not in _TOKENS:
+        raise TypeError(f"cannot serialize {type(u).__name__}")
+    args = (to_prefix(v) if isinstance(v, ScalarField) else repr(v)
+            for v in _operands(u))
+    return f"({_TOKENS[type(u)]} {' '.join(args)})"
 
 
 def parse_field(text: str) -> ScalarField:
@@ -618,6 +618,7 @@ def _parse_tokens(tokens: list[str]) -> tuple[ScalarField, list[str]]:
         if not rest:
             raise ValueError("unterminated '('")
         op, rest = rest[0], rest[1:]
+        _, build, n_fields, literals = _GRAMMAR.get(op, (None, None, 0, ()))
         args: list[ScalarField] = []
         raw: list[str] = []
         while True:
@@ -626,13 +627,17 @@ def _parse_tokens(tokens: list[str]) -> tuple[ScalarField, list[str]]:
             if rest[0] == ")":
                 rest = rest[1:]
                 break
-            if op in ("pow", "root", "abspow") and args:
+            if literals and len(args) >= n_fields:
                 raw.append(rest[0])
                 rest = rest[1:]
                 continue
             node, rest = _parse_tokens(rest)
             args.append(node)
-        return _build(op, args, raw), rest
+        if build is None:
+            raise ValueError(f"unknown operator {op!r} in field expression")
+        if len(args) != n_fields or len(raw) != len(literals):
+            raise ValueError(f"operator {op!r} got a wrong argument count")
+        return build(*args, *(conv(r) for conv, r in zip(literals, raw))), rest
     if tok == ")":
         raise ValueError("unexpected ')'")
     if tok in ("x", "y"):
@@ -641,38 +646,6 @@ def _parse_tokens(tokens: list[str]) -> tuple[ScalarField, list[str]]:
         return Const(float(tok)), rest
     except ValueError:
         raise ValueError(f"unknown token {tok!r} in field expression") from None
-
-
-def _build(op: str, args: list[ScalarField], raw: list[str]) -> ScalarField:
-    def need(n_args, n_raw=0):
-        if len(args) != n_args or len(raw) != n_raw:
-            raise ValueError(f"operator {op!r} got a wrong argument count")
-
-    if op == "+":
-        need(2)
-        return Add(args[0], args[1])
-    if op == "-":
-        need(2)
-        return Sub(args[0], args[1])
-    if op == "*":
-        need(2)
-        return Mul(args[0], args[1])
-    if op == "/":
-        need(2)
-        return Div(args[0], args[1])
-    if op == "neg":
-        need(1)
-        return Neg(args[0])
-    if op == "pow":
-        need(1, 1)
-        return IPow(args[0], int(raw[0]))
-    if op == "root":
-        need(1, 2)
-        return root_power(args[0], int(raw[0]), int(raw[1]))
-    if op == "abspow":
-        need(1, 1)
-        return AbsPow(args[0], float(raw[0]))
-    raise ValueError(f"unknown operator {op!r} in field expression")
 
 
 # ---------------------------------------------------------------------------

@@ -210,13 +210,8 @@ def _area_functional(u, domain, cfg, density) -> float:
 
 
 def _curve_functional(u, domain, curve_id, cfg, form) -> float:
-    def total(g, j, w):
-        p, q = form(j, g.x, g.y, w)
-        p = np.broadcast_to(np.asarray(p, float), g.x.shape)
-        q = np.broadcast_to(np.asarray(q, float), g.x.shape)
-        return float(np.sum(p * g.wx) + np.sum(q * g.wy))
-
-    fine, coarse = (total(*level) for level in _curve_jets(u, domain, curve_id, cfg))
+    fine, coarse = (quad._curve_sum(lambda x, y: form(j, x, y, w), g)
+                    for g, j, w in _curve_jets(u, domain, curve_id, cfg))
     return check_two_level(fine, coarse, cfg, f"curve functional on {curve_id.value}")
 
 
@@ -304,19 +299,23 @@ def omega_forms(params: OperatorParams, u: ScalarField, nonlin: NonlinearitySpec
                 p: Point, eta: Vec2) -> tuple[float, float]:
     """The two boundary densities (w1, w2) dotted with a given direction:
     w1 = [2 Du Xu + E V] . eta and w2 = [-2 F(u) V - 2 c u Xu] . eta,
-    where V = (-c1 x, -c2 y)."""
+    where V = (-c1 x, -c2 y).  These are the identities' own forms at one
+    point: the flux form (P, Q) = (-gy, gx) of g gives g . eta = Q eta.x - P eta.y."""
     co = coefficients(params)
     j = jet2(u, p)
-    xu_x, xu_y = X_from_jet(params, j, p.x, p.y)
-    du = D_from_jet(co, j, p.x, p.y)
-    e = energy_from_jet(params, j, p.x, p.y)
-    vx, vy = -co.c1 * p.x, -co.c2 * p.y
-    c = float(co.c)
-    fu = float(nonlin.F(j.u))
-    w1 = (2.0 * du * xu_x + e * vx) * eta.x + (2.0 * du * xu_y + e * vy) * eta.y
-    w2 = (-2.0 * fu * vx - 2.0 * c * j.u * xu_x) * eta.x \
-        + (-2.0 * fu * vy - 2.0 * c * j.u * xu_y) * eta.y
-    return float(w1), float(w2)
+
+    def dot(form):
+        fp, fq = form(j, p.x, p.y, None)
+        return float(fq * eta.x - fp * eta.y)
+
+    return dot(_w1_form(params, co)), dot(_w2_form(params, co, nonlin))
+
+
+def _w1_boundary(u, domain, cfg) -> float:
+    """int_{BC u sigma} w1, the w1 term of step1 and pohozaev."""
+    w1 = _w1_form(domain.params, coefficients(domain.params))
+    return _curve_functional(u, domain, BoundaryCurveId.BC, cfg, w1) \
+        + _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, w1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +346,7 @@ def step1_residual(u: ScalarField, domain: DomainSpec,
                            D_from_jet(co, j, x, y) * O_from_jet(params, j, x, y, w))
     e_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
                              energy_from_jet(params, j, x, y, w))
-    w1 = _w1_form(params, co)
-    b = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, w1) \
-        + _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, w1)
+    b = _w1_boundary(u, domain, cfg)
     rhs = c * e_int + 0.5 * b
     sides = {"energy_integral": e_int, "omega1_boundary": b}
     return _report("step1", domain, to_prefix(u), "", lhs, rhs, 0.0, sides,
@@ -430,11 +427,9 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
                               j.u * np.asarray(nonlin.f(j.u), float))
     lhs = float(co.kappa) * f_int - c * uf_int
 
-    w1 = _w1_form(params, co)
-    w2 = _w2_form(params, co, nonlin)
-    b1 = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, w1) \
-        + _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, w1)
-    b2 = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, w2)
+    b1 = _w1_boundary(u, domain, cfg)
+    b2 = _curve_functional(u, domain, BoundaryCurveId.BC, cfg,
+                           _w2_form(params, co, nonlin))
     rhs = 0.5 * (b1 + b2)
 
     defect = _area_functional(u, domain, cfg, lambda j, x, y, w:
@@ -655,9 +650,18 @@ def random_boundary_phi(y_c: float, rng) -> SampleFn1D:
     return SampleFn1D(p, p.deriv(), y_c, 0.0)
 
 
-def _phi_scale(phi: SampleFn1D) -> float:
+def _require_phi_zero(phi: SampleFn1D, ends, message: str):
+    # phi must vanish at each of ends, relative to its size on [a, b]
     t = np.linspace(phi.a, phi.b, 257)
-    return 1.0 + float(np.max(np.abs(np.asarray(phi.fn(t), float))))
+    scale = 1.0 + float(np.max(np.abs(np.asarray(phi.fn(t), float))))
+    if any(abs(float(phi.fn(end))) > 1e-12 * scale for end in ends):
+        raise PreconditionViolated(message)
+
+
+def _weighted_square(e: float, fn, y_c: float, cfg: QuadConfig) -> float:
+    """int_{y_c}^0 (-t)^e fn(t)^2 dt."""
+    return quad.integrate_neg_interval(
+        lambda t: (-t) ** e * np.asarray(fn(t), float) ** 2, y_c, cfg)
 
 
 def boundary_energy_I(params: OperatorParams, y_c: float, phi: SampleFn1D,
@@ -670,15 +674,11 @@ def boundary_energy_I(params: OperatorParams, y_c: float, phi: SampleFn1D,
         raise ValueError("need y_c < 0")
     if abs(phi.a - y_c) > 1e-12 or abs(phi.b) > 1e-12:
         raise ValueError("phi must live on [y_c, 0]")
-    scale = _phi_scale(phi)
-    if abs(float(phi.fn(y_c))) > 1e-12 * scale or abs(float(phi.fn(0.0))) > 1e-12 * scale:
-        raise PreconditionViolated("boundary energy needs phi(y_c) = phi(0) = 0")
+    _require_phi_zero(phi, (y_c, 0.0), "boundary energy needs phi(y_c) = phi(0) = 0")
     e1, e2 = (float(e) for e in hardy_weight_exponents(params))
     a_fac = (co.c2 / co.c1) ** (params.m2 / co.c2)
-    i1 = quad.integrate_neg_interval(
-        lambda t: (-t) ** e1 * np.asarray(phi.dfn(t), float) ** 2, y_c, cfg)
-    i2 = quad.integrate_neg_interval(
-        lambda t: (-t) ** e2 * np.asarray(phi.fn(t), float) ** 2, y_c, cfg)
+    i1 = _weighted_square(e1, phi.dfn, y_c, cfg)
+    i2 = _weighted_square(e2, phi.fn, y_c, cfg)
     return 2.0 * co.c2 * a_fac * i1 - (co.mu ** 2 / (2.0 * co.c2)) * a_fac * i2
 
 
@@ -693,14 +693,10 @@ def hardy_inequality_check(params: OperatorParams, pq: HardyParams,
         raise ValueError("the closed-form constant is the p = q = 2 case")
     if abs(phi.a - pq.y_c) > 1e-12:
         raise ValueError("phi must live on [y_c, 0]")
-    scale = _phi_scale(phi)
-    if abs(float(phi.fn(pq.y_c))) > 1e-12 * scale:
-        raise PreconditionViolated("the Hardy inequality needs phi(y_c) = 0")
+    _require_phi_zero(phi, (pq.y_c,), "the Hardy inequality needs phi(y_c) = 0")
     e1, e2 = (float(e) for e in hardy_weight_exponents(params))
-    lhs = math.sqrt(quad.integrate_neg_interval(
-        lambda t: (-t) ** e2 * np.asarray(phi.fn(t), float) ** 2, pq.y_c, cfg))
-    rhs = (2.0 * co.c2 / co.mu) * math.sqrt(quad.integrate_neg_interval(
-        lambda t: (-t) ** e1 * np.asarray(phi.dfn(t), float) ** 2, pq.y_c, cfg))
+    lhs = math.sqrt(_weighted_square(e2, phi.fn, pq.y_c, cfg))
+    rhs = (2.0 * co.c2 / co.mu) * math.sqrt(_weighted_square(e1, phi.dfn, pq.y_c, cfg))
     return Residual(lhs, rhs)
 
 

@@ -54,9 +54,10 @@ class QuadConfig:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
 
-    def coarse(self) -> "QuadConfig":
-        return QuadConfig(self.gauss_order, max(1, self.panels_per_axis // 2),
-                          self.grade_endpoints, self.abs_tol, self.rel_tol)
+    @property
+    def levels(self) -> tuple[int, int]:
+        """(fine, coarse) panels per axis of every two-level grid and sum."""
+        return self.panels_per_axis, max(1, self.panels_per_axis // 2)
 
 
 @dataclass(frozen=True)
@@ -73,15 +74,9 @@ class Residual:
         return self.abs_err / (abs(self.lhs) + abs(self.rhs) + 1.0)
 
 
-@lru_cache(maxsize=64)
-def _gauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 @lru_cache(maxsize=512)
 def _panel_nodes(lo: float, hi: float, order: int, panels: int):
-    x, w = _gauss(order)
+    x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -91,8 +86,7 @@ def _panel_nodes(lo: float, hi: float, order: int, panels: int):
 
 
 def _two_levels(level, cfg: QuadConfig) -> tuple:
-    """(fine, coarse) pair of level(panels): every two-level grid and sum."""
-    return level(cfg.panels_per_axis), level(max(1, cfg.panels_per_axis // 2))
+    return tuple(level(panels) for panels in cfg.levels)
 
 
 def check_two_level(fine: float, coarse: float, cfg: QuadConfig,
@@ -103,7 +97,7 @@ def check_two_level(fine: float, coarse: float, cfg: QuadConfig,
         problem = "did not settle"
     else:
         return fine
-    panels = (cfg.panels_per_axis, max(1, cfg.panels_per_axis // 2))
+    panels = cfg.levels
     raise NonConvergence(
         f"{what} {problem}: {fine!r} vs {coarse!r} "
         f"(panels {panels[0]} vs {panels[1]})",
@@ -189,7 +183,7 @@ def _curve_level(charts, order: int, panels: int) -> CurveGridLevel:
 # A domain is anything with area_charts() and boundary_charts(graded):
 # a DomainSpec, or a test region.
 
-@lru_cache(maxsize=24)
+@lru_cache(maxsize=2)
 def domain_grids(domain, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
     """(fine, coarse) tensor grids covering the domain, weights included."""
     maps = [chart.fn for chart in domain.area_charts()]
@@ -248,12 +242,10 @@ def _blockwise(x: np.ndarray, kernel) -> tuple:
 
 
 def _eval_on(g, x, y):
+    # a density may return a scalar (a constant), broadcast like a 1-form
     def kernel(sl):
-        xs, ys = x[sl], y[sl]
-        vals = np.asarray(g(xs, ys), dtype=float)
-        if vals.shape != xs.shape:
-            vals = np.asarray(np.vectorize(g, otypes=[float])(xs, ys), dtype=float)
-        return (vals,)
+        xs = x[sl]
+        return (np.broadcast_to(np.asarray(g(xs, y[sl]), float), xs.shape),)
 
     return _blockwise(x, kernel)[0]
 
@@ -299,33 +291,22 @@ def _poly2d_coeffs(rng, deg: int = 3):
     return c
 
 
-def _polyval2d(c, x, y):
-    return np.polynomial.polynomial.polyval2d(x, y, c)
-
-
-def _polyder_x(c):
-    return np.polynomial.polynomial.polyder(c, axis=0)
-
-
-def _polyder_y(c):
-    return np.polynomial.polynomial.polyder(c, axis=1)
-
-
 def divergence_selftest(domain, cfg: QuadConfig) -> Residual:
     """Worst-case Gauss divergence check over F = (x, y) and three seeded
     random cubic vector fields: area integral of div F against the outward
     boundary flux.  Returns the worst Residual by relative error."""
+    poly = np.polynomial.polynomial
     rng = np.random.default_rng(20250814)
     cases = []
     cases.append((lambda x, y: x, lambda x, y: y, lambda x, y: 2.0 * np.ones_like(x)))
     for _ in range(3):
         cp = _poly2d_coeffs(rng)
         cq = _poly2d_coeffs(rng)
-        dpx, dqy = _polyder_x(cp), _polyder_y(cq)
+        dpx, dqy = poly.polyder(cp, axis=0), poly.polyder(cq, axis=1)
         cases.append((
-            lambda x, y, c=cp: _polyval2d(c, x, y),
-            lambda x, y, c=cq: _polyval2d(c, x, y),
-            lambda x, y, a=dpx, b=dqy: _polyval2d(a, x, y) + _polyval2d(b, x, y),
+            lambda x, y, c=cp: poly.polyval2d(x, y, c),
+            lambda x, y, c=cq: poly.polyval2d(x, y, c),
+            lambda x, y, a=dpx, b=dqy: poly.polyval2d(x, y, a) + poly.polyval2d(x, y, b),
         ))
     worst = None
     for fx, fy, dv in cases:

@@ -79,15 +79,14 @@ def test_blocked_eval_on_equals_the_whole_array(monkeypatch):
     def poly(x, y):
         return x ** 3 - 2.0 * x * y + y ** 5
 
-    def scalar_only(x, y):
-        # returns one number for an array, so _eval_on falls back to
-        # np.vectorize and evaluates it point by point
-        return x * y - 0.25 if np.ndim(x) == 0 else 0.0
+    def const(x, y):
+        return 0.25   # one number for all the points, broadcast to them
 
-    for g in (poly, scalar_only):
-        got = quad._eval_on(g, x, y)
-        assert _identical(got, _one_block(monkeypatch, lambda: quad._eval_on(g, x, y)))
-    assert _identical(quad._eval_on(scalar_only, x, y), x * y - 0.25)
+    got = quad._eval_on(poly, x, y)
+    assert _identical(got, _one_block(monkeypatch, lambda: quad._eval_on(poly, x, y)))
+    full = np.full(x.shape, 0.25)
+    assert _identical(quad._eval_on(const, x, y), full)
+    assert _identical(_one_block(monkeypatch, lambda: quad._eval_on(const, x, y)), full)
 
 
 def test_fine_level_jet_peak_memory_stays_near_its_output():

@@ -207,6 +207,20 @@ def test_hardy_constants_and_table(tmp_path, capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["hardy", "--m1", "1", "--m2", "4", "--sweeps", "0"],
+    ["hardy", "--m1", "1", "--m2", "4", "--table", "gl.csv", "--table-points", "0"],
+    ["domain", "--csv", "b.csv", "--svg", "b.svg", "--samples", "0"],
+], ids=["sweeps", "table-points", "samples"])
+def test_counts_below_one_are_config_errors(tmp_path, capsys, argv):
+    # a sweep over no functions or a table of no rows would test nothing
+    flag = next(a for a in argv if a in ("--sweeps", "--table-points", "--samples"))
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {flag} must be at least 1\n" and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_hardy_seed_changes_sweep_but_not_verdict(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["hardy", "--m1", "1", "--m2", "4", "--sweeps", "10",

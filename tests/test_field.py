@@ -2,16 +2,18 @@
 differences, the differential operators, manufactured fields, dilation and
 the prefix serialization."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from tricomi.errors import DegeneracyLine, DomainError, OutOfRange
-from tricomi.field import (Const, Coord, Jet2, SampleFn1D, X, Y, VANISH_AC,
-                           VANISH_AC_SIGMA, abs_power, apply_D, apply_O,
-                           apply_X, dilate, directional_pm, energy_density,
-                           jet2, manufactured, norm_density, parse_field,
-                           root_power, substitute, to_prefix)
+from tricomi.field import (Const, Coord, Jet2, OddRootPow, SampleFn1D,
+                           ScalarField, X, Y, VANISH_AC, VANISH_AC_SIGMA,
+                           abs_power, apply_D, apply_O, apply_X, dilate,
+                           directional_pm, energy_density, jet2, manufactured,
+                           norm_density, parse_field, root_power, substitute,
+                           to_prefix)
 from tricomi.geometry import (BoundaryCurveId, Point, boundary_charts,
                               curve_point, natural_range, omega1, omega3,
                               omega4)
@@ -425,6 +427,54 @@ def test_parse_field_literals_and_errors():
     for bad in ("(", "(+ x)", "(pow x)", "(frob x y)", "x y", ""):
         with pytest.raises(ValueError):
             parse_field(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "(+ x 1.0)", "(- x y)", "(* x y)", "(/ x 2.0)", "(neg x)", "(pow x 3)",
+    "(root x 2 3)", "(abspow y 2.5)"])
+def test_every_grammar_token_round_trips(text):
+    u = parse_field(text)
+    assert to_prefix(u) == text
+    assert parse_field(to_prefix(u)) == u
+    assert substitute(u, X, Y) == u
+
+
+def test_root_parses_through_root_power():
+    assert parse_field("(root x 3 9)") == OddRootPow(X, 1, 3)
+    assert to_prefix(parse_field("(root x 3 9)")) == "(root x 1 3)"
+    assert parse_field("(root x 6 3)") == X ** 2
+
+
+def test_parse_field_error_messages():
+    wrong = "operator {!r} got a wrong argument count"
+    for text, message in (
+            ("(frob x y)", "unknown operator 'frob' in field expression"),
+            ("(+ x)", wrong.format("+")),
+            ("(neg x y)", wrong.format("neg")),
+            ("(pow x)", wrong.format("pow")),
+            ("(pow x 2 3)", wrong.format("pow")),
+            ("(root x 1)", wrong.format("root")),
+            ("(abspow x)", wrong.format("abspow")),
+            ("(+ x y", "unterminated '('"),
+            (")", "unexpected ')'"),
+            ("x y", "trailing tokens in field expression: y"),
+            ("(+ x z)", "unknown token 'z' in field expression"),
+            ("", "empty field expression")):
+        with pytest.raises(ValueError) as ei:
+            parse_field(text)
+        assert str(ei.value) == message
+
+
+def test_nodes_outside_the_grammar_are_refused():
+    @dataclass(frozen=True)
+    class Twice(ScalarField):
+        a: ScalarField
+
+    for u in (Twice(X), Twice(X) + Y):
+        with pytest.raises(TypeError, match="cannot serialize Twice"):
+            to_prefix(u)
+        with pytest.raises(TypeError, match="cannot substitute into Twice"):
+            substitute(u, Y, X)
 
 
 # ---------------------------------------------------------------------------

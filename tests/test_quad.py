@@ -49,8 +49,8 @@ def test_quad_config_validation():
     cfg = QuadConfig()
     assert cfg.gauss_order == 16 and cfg.panels_per_axis == 32
     assert cfg.grade_endpoints and cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-9
-    c = cfg.coarse()
-    assert c.panels_per_axis == 16
+    assert cfg.levels == (32, 16)
+    assert QuadConfig(panels_per_axis=1).levels == (1, 1)
     with pytest.raises(ValueError):
         QuadConfig(gauss_order=0)
     with pytest.raises(ValueError):
