@@ -31,13 +31,15 @@ from .quad import (CurveGridLevel, GridLevel, QuadConfig, Residual, box_grids,
                    integrate_domain, integrate_interval,
                    integrate_neg_interval)
 from .identities import (HardyParams, IdentityReport, REPORT_PASS_RTOL,
-                         boundary_energy_I, equivalence_chain, hardy_GL,
-                         hardy_GL_numeric, hardy_constants,
-                         hardy_inequality_check, hardy_weight_exponents,
-                         omega_forms, pohozaev_residual, polynomial_sample_fn,
+                         SIGN_CLAIM_VARIANTS, boundary_energy_I,
+                         equivalence_chain, hardy_GL, hardy_GL_numeric,
+                         hardy_constants, hardy_inequality_check,
+                         hardy_reports, hardy_weight_exponents, omega_forms,
+                         pohozaev_residual, polynomial_sample_fn,
                          random_boundary_phi, random_hardy_phi,
-                         reference_domains, scaling_ratios,
-                         sigma_boundary_sign, step1_residual, step2_residual,
+                         reference_domains, scaling_ratios, scaling_reports,
+                         selftest_report, sigma_boundary_sign,
+                         sigma_sign_report, step1_residual, step2_residual,
                          step3_residual)
 from .cli import run
 

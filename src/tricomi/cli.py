@@ -11,14 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-
-import numpy as np
 
 from . import identities as ident
 from .errors import TricomiError
-from .field import Const, X, Y, manufactured, parse_field, to_prefix, VANISH_AC_SIGMA
-from .geometry import (DomainSpec, boundary_csv, boundary_svg,
+from .field import Const, X, Y, manufactured, parse_field, VANISH_AC_SIGMA
+from .geometry import (DomainSpec, Point, boundary_csv, boundary_svg,
                        check_starshaped, endpoints, flow, omega1, omega2,
                        omega3, omega4)
 from .params import (OperatorParams, coefficients, critical_exponent,
@@ -29,7 +26,6 @@ from .quad import QuadConfig
 _FACTORIES = {"omega1": omega1, "omega2": omega2, "omega3": omega3,
               "omega4": omega4}
 _ANCHOR_SIGN = {"omega1": -1.0, "omega2": 1.0, "omega3": -1.0, "omega4": -1.0}
-_SIGN_CLAIM_VARIANTS = ("omega1", "omega2", "omega4")  # sigma stays in y >= 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,38 +219,10 @@ _DEFAULT_BUMP = (Const(1.0) - X ** 2) * (Const(1.0) - Y ** 2) \
     * (Const(1.0) + X / 3 - Y / 5)
 
 
-def _manual_report(identity: str, m1: int, m2: int, lhs: float, rhs: float,
-                   passed: bool, variant: str = "", anchor: float = 0.0,
-                   field: str = "", f: str = "", sides: dict | None = None,
-                   note: str = "", seconds: float = 0.0) -> ident.IdentityReport:
-    return ident.IdentityReport(
-        identity=identity, variant=variant, m1=m1, m2=m2, anchor=anchor,
-        field=field, f=f, lhs=lhs, rhs=rhs, defect=0.0,
-        sides=sides or {}, quad={}, passed=passed, seconds=seconds, note=note)
-
-
-def _sigma_sign_report(u, dom: DomainSpec, qcfg: QuadConfig) -> ident.IdentityReport:
-    t0 = time.perf_counter()
-    val = ident.sigma_boundary_sign(u, dom, qcfg)
-    claimed = dom.variant.value in _SIGN_CLAIM_VARIANTS
-    note = ("sign claim holds: sigma lies in y >= 0" if claimed else
-            "no sign claim: this sigma dips below y = 0")
-    # a one-sided bound check: record the observed value on both sides so
-    # rel_err stays 0, and keep the bound in sides
-    return _manual_report(
-        "sigma-sign", dom.params.m1, dom.params.m2, val, val,
-        not claimed or val >= -1e-9, variant=dom.variant.value,
-        anchor=dom.anchor, field=to_prefix(u), note=note,
-        sides={"value": val, "bound": -1e-9}, seconds=time.perf_counter() - t0)
-
-
-def _finalize(reports: list, timing: bool) -> list:
-    if timing:
-        return reports
-    return [r.with_seconds(0.0) for r in reports]
-
-
-def _write_report_file(path: str, reports: list, extra: dict | None = None):
+def _write_report_file(path: str, reports: list, timing: bool,
+                       extra: dict | None = None):
+    if not timing:   # so identical runs write identical files
+        reports = [r.with_seconds(0.0) for r in reports]
     payload = {
         "reports": [json.loads(r.to_json()) for r in reports],
         "pass": all(r.passed for r in reports),
@@ -288,13 +256,12 @@ def _run_checks(cfg: dict, compute, show=None, extra: dict | None = None,
     try:
         compute(reports)
     except BaseException as e:
-        _write_report_file(report_path, _finalize(reports, timing),
+        _write_report_file(report_path, reports, timing,
                            {"error": f"{type(e).__name__}: {e}"})
         raise
     if show is not None:
         show(reports)
-    reports = _finalize(reports, timing)
-    _write_report_file(report_path, reports, extra)
+    _write_report_file(report_path, reports, timing, extra)
     _print_report_lines(reports)
     n_pass = sum(1 for r in reports if r.passed)
     if summary:
@@ -341,7 +308,6 @@ def _cmd_domain(cfg: dict) -> int:
 def _cmd_flow(cfg: dict) -> int:
     _require(cfg, "m1", "m2", "x", "y")
     co = coefficients(OperatorParams(cfg["m1"], cfg["m2"]))
-    from .geometry import Point
     p0 = Point(cfg["x"], cfg["y"])
     t_max = _get(cfg, "t_max", 3.0)
     steps = _count(cfg, "steps", 100)
@@ -365,40 +331,14 @@ def _cmd_verify(cfg: dict) -> int:
     qcfg = _quad_config(cfg)
     u = parse_field(cfg["field"]) if cfg.get("field") is not None \
         else manufactured(dom, vanish_on=VANISH_AC_SIGMA)
-    which = cfg["which"]
-
-    def compute(reports):
-        if which == "step1":
-            reports.append(ident.step1_residual(u, dom, qcfg))
-        elif which == "step2":
-            reports.append(ident.step2_residual(u, _make_nonlin(cfg), dom, qcfg))
-        elif which == "step3":
-            reports.append(ident.step3_residual(u, dom, qcfg))
-        elif which == "pohozaev":
-            reports.append(ident.pohozaev_residual(u, _make_nonlin(cfg), dom, qcfg))
-        else:
-            reports.append(_sigma_sign_report(u, dom, qcfg))
-
-    return _run_checks(cfg, compute)
-
-
-def _scaling_reports(m1: int, m2: int, lams, pexp: float, u, qcfg,
-                     field_str: str) -> list:
-    co = coefficients(OperatorParams(m1, m2))
-    out = []
-    for lam in lams:
-        t0 = time.perf_counter()
-        r = ident.scaling_ratios(u, lam, pexp, co, qcfg)
-        dt = time.perf_counter() - t0
-        for key, expo in (("lp_ratio", co.kappa), ("grad_ratio", co.mu)):
-            expected = lam ** expo
-            got = r[key]
-            out.append(_manual_report(
-                f"scaling-{key.split('_')[0]}", m1, m2, got, expected,
-                abs(got / expected - 1.0) <= 1e-9, field=field_str,
-                sides={"lam": lam, "pexp": pexp},
-                note=f"expected lam**{expo}", seconds=dt / 2))
-    return out
+    checks = {
+        "step1": lambda: ident.step1_residual(u, dom, qcfg),
+        "step2": lambda: ident.step2_residual(u, _make_nonlin(cfg), dom, qcfg),
+        "step3": lambda: ident.step3_residual(u, dom, qcfg),
+        "pohozaev": lambda: ident.pohozaev_residual(u, _make_nonlin(cfg), dom, qcfg),
+        "sigma-sign": lambda: ident.sigma_sign_report(u, dom, qcfg),
+    }
+    return _run_checks(cfg, lambda reports: reports.append(checks[cfg["which"]]()))
 
 
 def _cmd_scaling(cfg: dict) -> int:
@@ -407,56 +347,13 @@ def _cmd_scaling(cfg: dict) -> int:
     lams = _get(cfg, "lam", [0.5, 2.0])
     pexp = _get(cfg, "p", 4.0)
     u = parse_field(cfg["field"]) if cfg.get("field") is not None else _DEFAULT_BUMP
-    return _run_checks(cfg, lambda reports: reports.extend(_scaling_reports(
-        cfg["m1"], cfg["m2"], lams, pexp, u, qcfg, to_prefix(u))))
 
+    def compute(reports):
+        params = OperatorParams(cfg["m1"], cfg["m2"])
+        for lam in lams:
+            reports.extend(ident.scaling_reports(u, lam, pexp, params, qcfg))
 
-def _hardy_reports(m1: int, m2: int, pq: ident.HardyParams, sweeps: int,
-                   seed: int, qcfg) -> list:
-    params = OperatorParams(m1, m2)
-    out = []
-    t0 = time.perf_counter()
-    hc = ident.hardy_constants(params, pq)
-    out.append(_manual_report(
-        "hardy-constants", m1, m2, hc["grid_sup"], float(hc["M_L"]),
-        abs(hc["grid_sup"] - float(hc["M_L"])) <= 1e-8 * max(1.0, float(hc["M_L"])),
-        sides={"M_L": str(hc["M_L"]), "r": str(hc["r"]),
-               "C_L_low": str(hc["C_L_low"]), "C_L_high": str(hc["C_L_high"])},
-        note="grid supremum of G_L against the closed form",
-        seconds=time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    chain = ident.equivalence_chain(params)
-    co = coefficients(params)
-    out.append(_manual_report(
-        "hardy-chain", m1, m2, 2.0 * co.c2 / co.mu, 2.0 * co.c2 / co.mu,
-        chain, note="M_L <= 2 c2/mu = 2 M_L, exact rationals",
-        seconds=time.perf_counter() - t0))
-
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    worst_i = float("inf")
-    for _ in range(sweeps):
-        phi = ident.random_boundary_phi(pq.y_c, rng)
-        worst_i = min(worst_i, ident.boundary_energy_I(params, pq.y_c, phi, qcfg))
-    out.append(_manual_report(
-        "hardy-energy-sweep", m1, m2, worst_i, worst_i, worst_i >= -1e-9,
-        sides={"sweeps": sweeps, "bound": -1e-9},
-        note="minimum of the boundary energy functional over random phi",
-        seconds=time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    worst_margin = -float("inf")
-    for _ in range(sweeps):
-        phi = ident.random_hardy_phi(pq.y_c, rng)
-        res = ident.hardy_inequality_check(params, pq, phi, qcfg)
-        worst_margin = max(worst_margin, res.lhs - res.rhs)
-    out.append(_manual_report(
-        "hardy-inequality-sweep", m1, m2, worst_margin, worst_margin,
-        worst_margin <= 1e-10, sides={"sweeps": sweeps, "bound": 1e-10},
-        note="max of lhs - rhs over random phi; nonpositive means the "
-             "inequality held", seconds=time.perf_counter() - t0))
-    return out
+    return _run_checks(cfg, compute)
 
 
 def _cmd_hardy(cfg: dict) -> int:
@@ -469,11 +366,8 @@ def _cmd_hardy(cfg: dict) -> int:
     seed = _get(cfg, "seed", 42)
 
     def show(reports):
-        consts = reports[0].sides
-        print(f"M_L {consts['M_L']}")
-        print(f"r {consts['r']}")
-        print(f"C_L_low {consts['C_L_low']}")
-        print(f"C_L_high {consts['C_L_high']}")
+        for key, value in reports[0].sides.items():   # M_L, r, C_L_low, C_L_high
+            print(f"{key} {value}")
         print(f"grid_sup {reports[0].lhs!r}")
         if cfg.get("table"):
             params = OperatorParams(cfg["m1"], cfg["m2"])
@@ -485,8 +379,8 @@ def _cmd_hardy(cfg: dict) -> int:
                 fh.write("\n".join(lines) + "\n")
             print(f"table {cfg['table']}")
 
-    return _run_checks(cfg, lambda reports: reports.extend(_hardy_reports(
-        cfg["m1"], cfg["m2"], pq, sweeps, seed, qcfg)), show=show)
+    return _run_checks(cfg, lambda reports: reports.extend(ident.hardy_reports(
+        OperatorParams(cfg["m1"], cfg["m2"]), pq, sweeps, seed, qcfg)), show=show)
 
 
 def _cmd_suite(cfg: dict) -> int:
@@ -497,6 +391,7 @@ def _cmd_suite(cfg: dict) -> int:
         raise ValueError("anchor magnitude must be nonzero")
     qcfg = _quad_config(cfg)
     seed = _get(cfg, "seed", 42)
+    params = OperatorParams(m1, m2)
 
     domains = []
     skipped = {}
@@ -512,12 +407,7 @@ def _cmd_suite(cfg: dict) -> int:
 
     def compute(reports):
         for dom in domains:
-            t0 = time.perf_counter()
-            r = ident._ensure_oriented(dom, qcfg)
-            reports.append(_manual_report(
-                "divergence-selftest", m1, m2, r.lhs, r.rhs,
-                r.rel_err <= 1e-9, variant=dom.variant.value,
-                anchor=dom.anchor, seconds=time.perf_counter() - t0))
+            reports.append(ident.selftest_report(dom, qcfg))
             base = manufactured(dom, vanish_on=VANISH_AC_SIGMA)
             for u in (base, _second_matrix_field(base)):
                 reports.append(ident.step1_residual(u, dom, qcfg))
@@ -525,20 +415,17 @@ def _cmd_suite(cfg: dict) -> int:
                 for nl in (cubic_nonlinearity(), power_nonlinearity(3.0)):
                     reports.append(ident.step2_residual(u, nl, dom, qcfg))
                     reports.append(ident.pohozaev_residual(u, nl, dom, qcfg))
-            if dom.variant.value in _SIGN_CLAIM_VARIANTS:
-                reports.append(_sigma_sign_report(base, dom, qcfg))
-        reports.extend(_scaling_reports(m1, m2, [0.5, 2.0], 4.0,
-                                        _DEFAULT_BUMP, qcfg,
-                                        to_prefix(_DEFAULT_BUMP)))
-        reports.extend(_hardy_reports(m1, m2, ident.HardyParams(), 100, seed,
-                                      qcfg))
+            if dom.variant.value in ident.SIGN_CLAIM_VARIANTS:
+                reports.append(ident.sigma_sign_report(base, dom, qcfg))
+        for lam in (0.5, 2.0):
+            reports.extend(ident.scaling_reports(_DEFAULT_BUMP, lam, 4.0, params, qcfg))
+        reports.extend(ident.hardy_reports(params, seed=seed, cfg=qcfg))
         reports.sort(key=lambda r: (r.variant, r.identity, r.f, r.field, r.note))
 
     def show(reports):
         for name, why in skipped.items():
             print(f"skipped {name}: {why}")
 
-    params = OperatorParams(m1, m2)
     extra = {"critical_exponent": str(critical_exponent(params)),
              "supercritical_threshold": str(supercritical_threshold(params))}
     if skipped:
@@ -563,7 +450,11 @@ def run(argv=None) -> int:
     try:
         cfg = _merge(ns)
         return _DISPATCH[ns.command](cfg)
-    except (TricomiError, ValueError, OSError, json.JSONDecodeError) as e:
+    except OverflowError as e:
+        # an input too large for float arithmetic is a configuration error
+        print(f"error: numeric overflow: {e}", file=sys.stderr)
+        return 2
+    except (TricomiError, ValueError, OSError) as e:  # JSONDecodeError too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -114,7 +114,8 @@ class ScalarField:
                     return node._jet(xs, ys, sub)
                 return j if sl is ... else Jet2(*(c[sl] for c in vars(j).values()))
 
-            return tuple(vars(sub(self)).values())
+            j, sub = sub(self), None  # sub's closure cycle would pin arrays until gc
+            return tuple(vars(j).values())
 
         return Jet2(*_blockwise(xb, block))
 

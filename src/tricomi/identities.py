@@ -14,15 +14,16 @@ import math
 import time
 from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import field as _default
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from .errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                      PreconditionViolated)
 from .field import (Jet2, SampleFn1D, ScalarField, D_from_jet, O_from_jet,
-                    X_from_jet, energy_from_jet, jet2, norm_from_jet,
+                    X_from_jet, dilate, energy_from_jet, jet2, norm_from_jet,
                     operator_weights, to_prefix)
 from .geometry import (BoundaryCurveId, DomainSpec, Point, Vec2,
                        boundary_charts, check_starshaped, omega1, omega2,
@@ -30,19 +31,24 @@ from .geometry import (BoundaryCurveId, DomainSpec, Point, Vec2,
 from .params import (Coefficients, NonlinearitySpec, OperatorParams,
                      coefficients)
 from . import quad
-from .quad import QuadConfig, Residual, check_two_level, divergence_selftest
+from .quad import (QuadConfig, Residual, check_two_level, divergence_selftest,
+                   error_scale)
 
 __all__ = [
     "IdentityReport",
     "HardyParams",
     "REPORT_PASS_RTOL",
+    "SIGN_CLAIM_VARIANTS",
     "omega_forms",
     "step1_residual",
     "step2_residual",
     "step3_residual",
     "pohozaev_residual",
     "sigma_boundary_sign",
+    "sigma_sign_report",
+    "selftest_report",
     "scaling_ratios",
+    "scaling_reports",
     "hardy_weight_exponents",
     "hardy_GL",
     "hardy_GL_numeric",
@@ -50,6 +56,7 @@ __all__ = [
     "boundary_energy_I",
     "hardy_inequality_check",
     "equivalence_chain",
+    "hardy_reports",
     "polynomial_sample_fn",
     "random_hardy_phi",
     "random_boundary_phi",
@@ -61,20 +68,23 @@ REPORT_PASS_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """One check record.  Checks of the operator alone leave variant and
+    anchor empty; one-sided checks record the observed value as both lhs
+    and rhs (so rel_err is 0) and keep their bound in sides."""
     identity: str
-    variant: str
     m1: int
     m2: int
-    anchor: float
-    field: str
-    f: str
     lhs: float
     rhs: float
-    defect: float
-    sides: dict
-    quad: dict
     passed: bool
-    seconds: float
+    variant: str = ""
+    anchor: float = 0.0
+    field: str = ""
+    f: str = ""
+    defect: float = 0.0
+    sides: dict = _default(default_factory=dict)
+    quad: dict = _default(default_factory=dict)
+    seconds: float = 0.0
     note: str = ""
 
     @property
@@ -103,7 +113,34 @@ class IdentityReport:
 
 
 def _rel_err(lhs: float, rhs: float, defect: float) -> float:
-    return abs(lhs - rhs - defect) / (abs(lhs) + abs(rhs + defect) + 1.0)
+    return abs(lhs - rhs - defect) / error_scale(lhs, rhs + defect)
+
+
+def _record(identity: str, on, lhs: float, rhs: float, passed: bool,
+            **rest) -> IdentityReport:
+    """The one constructor of check records.  on is the DomainSpec the
+    check ran on or, for a check of the operator alone, its OperatorParams;
+    rest fills the optional fields."""
+    if isinstance(on, DomainSpec):
+        rest.update(variant=on.variant.value, anchor=on.anchor)
+        on = on.params
+    return IdentityReport(identity=identity, m1=on.m1, m2=on.m2, lhs=lhs,
+                          rhs=rhs, passed=passed, **rest)
+
+
+def _timed(check):
+    """check returns a record, or a list of records that share the call's
+    wall time equally; the wrapper sets their seconds."""
+    @wraps(check)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = check(*args, **kwargs)
+        dt = time.perf_counter() - t0
+        if isinstance(out, IdentityReport):
+            return out.with_seconds(dt)
+        return [r.with_seconds(dt / len(out)) for r in out]
+
+    return timed
 
 
 def reference_domains() -> list[DomainSpec]:
@@ -199,18 +236,14 @@ _curve_jets = _LevelJets(lambda domain, curve_id, cfg:
                          quad.curve_grids(domain, curve_id, cfg))
 
 
-def _reduce(density, g, j, w=None) -> float:
-    # weighted sum of a pointwise density over one grid level
-    return float(np.sum(np.asarray(density(j, g.x, g.y, w), float) * g.w))
-
-
 def _area_functional(u, domain, cfg, density) -> float:
-    fine, coarse = (_reduce(density, *level) for level in _area_jets(u, domain, cfg))
+    fine, coarse = (quad._level_sum([density(j, g.x, g.y, w)], [g.w])
+                    for g, j, w in _area_jets(u, domain, cfg))
     return check_two_level(fine, coarse, cfg, "area functional")
 
 
 def _curve_functional(u, domain, curve_id, cfg, form) -> float:
-    fine, coarse = (quad._curve_sum(lambda x, y: form(j, x, y, w), g)
+    fine, coarse = (quad._level_sum(form(j, g.x, g.y, w), (g.wx, g.wy))
                     for g, j, w in _curve_jets(u, domain, curve_id, cfg))
     return check_two_level(fine, coarse, cfg, f"curve functional on {curve_id.value}")
 
@@ -218,18 +251,17 @@ def _curve_functional(u, domain, curve_id, cfg, form) -> float:
 @lru_cache(maxsize=32)
 def _ensure_oriented(domain: DomainSpec, cfg: QuadConfig) -> Residual:
     """The divergence self-test of the domain at cfg, run once per pair;
-    _require_oriented gates the identities on it."""
+    _gate holds the identities to it."""
     return divergence_selftest(domain, cfg)
 
 
-def _require_oriented(domain: DomainSpec, cfg: QuadConfig):
-    # orientation soundness must be established before identities are trusted
+@_timed
+def selftest_report(domain: DomainSpec,
+                    cfg: QuadConfig = QuadConfig()) -> IdentityReport:
+    """The domain's divergence self-test, the same run that gates its
+    identities, as a record: area against boundary flux to 1e-9."""
     r = _ensure_oriented(domain, cfg)
-    gate = max(1e-8, 10.0 * cfg.rel_tol)
-    if r.rel_err > gate:
-        raise NonConvergence(
-            f"divergence self-test rel error {r.rel_err:.3e} exceeds {gate:.1e}; "
-            "charts, weights or orientation are unsound at this resolution")
+    return _record("divergence-selftest", domain, r.lhs, r.rhs, r.rel_err <= 1e-9)
 
 
 @lru_cache(maxsize=32)
@@ -258,10 +290,24 @@ def _require_vanishing(u, domain, curve_ids, cfg, what: str):
                 f"{vals[cid]:.3e}")
 
 
-def _check_F_zero(nonlin: NonlinearitySpec):
-    if abs(float(nonlin.F(0.0))) > 1e-14:
-        raise PreconditionViolated(
-            f"nonlinearity {nonlin.name!r} needs F(0) = 0")
+_AC_SIGMA = (BoundaryCurveId.AC, BoundaryCurveId.SIGMA)
+
+
+def _gate(u, domain, cfg, what, curves=_AC_SIGMA, nonlin=None):
+    """The preconditions of an identity, in order: a sound divergence
+    self-test (charts, weights and orientation are trusted only then),
+    F(0) = 0 when a nonlinearity enters, u = 0 on curves.  Returns the
+    domain's params and coefficients."""
+    r = _ensure_oriented(domain, cfg)
+    gate = max(1e-8, 10.0 * cfg.rel_tol)
+    if r.rel_err > gate:
+        raise NonConvergence(
+            f"divergence self-test rel error {r.rel_err:.3e} exceeds {gate:.1e}; "
+            "charts, weights or orientation are unsound at this resolution")
+    if nonlin is not None and abs(float(nonlin.F(0.0))) > 1e-14:
+        raise PreconditionViolated(f"nonlinearity {nonlin.name!r} needs F(0) = 0")
+    _require_vanishing(u, domain, curves, cfg, what)
+    return domain.params, coefficients(domain.params)
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +368,19 @@ def _w1_boundary(u, domain, cfg) -> float:
 # step identities
 
 def _report(identity, domain, field_str, f_str, lhs, rhs, defect, sides, cfg,
-            seconds, note="") -> IdentityReport:
-    return IdentityReport(
-        identity=identity, variant=domain.variant.value,
-        m1=domain.params.m1, m2=domain.params.m2, anchor=domain.anchor,
-        field=field_str, f=f_str, lhs=lhs, rhs=rhs, defect=defect,
-        sides=sides, quad=asdict(cfg),
-        passed=_rel_err(lhs, rhs, defect) <= REPORT_PASS_RTOL,
-        seconds=seconds, note=note)
+            note="") -> IdentityReport:
+    return _record(identity, domain, lhs, rhs,
+                   _rel_err(lhs, rhs, defect) <= REPORT_PASS_RTOL,
+                   field=field_str, f=f_str, defect=defect, sides=sides,
+                   quad=asdict(cfg), note=note)
 
 
+@_timed
 def step1_residual(u: ScalarField, domain: DomainSpec,
                    cfg: QuadConfig = QuadConfig()) -> IdentityReport:
     """For u vanishing on AC:
     2 * int D(u) O(u) = 2c * int E + int_{BC u sigma} w1."""
-    t0 = time.perf_counter()
-    _require_oriented(domain, cfg)
-    _require_vanishing(u, domain, [BoundaryCurveId.AC], cfg, "step1")
-    params, co = domain.params, coefficients(domain.params)
+    params, co = _gate(u, domain, cfg, "step1", [BoundaryCurveId.AC])
     c = float(co.c)
 
     lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
@@ -349,20 +390,15 @@ def step1_residual(u: ScalarField, domain: DomainSpec,
     b = _w1_boundary(u, domain, cfg)
     rhs = c * e_int + 0.5 * b
     sides = {"energy_integral": e_int, "omega1_boundary": b}
-    return _report("step1", domain, to_prefix(u), "", lhs, rhs, 0.0, sides,
-                   cfg, time.perf_counter() - t0)
+    return _report("step1", domain, to_prefix(u), "", lhs, rhs, 0.0, sides, cfg)
 
 
+@_timed
 def step2_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
                    cfg: QuadConfig = QuadConfig()) -> IdentityReport:
     """For u vanishing on AC and sigma, F(0) = 0:
     int D(u) f(u) = kappa * int F(u) + int_BC F(u) V . eta."""
-    t0 = time.perf_counter()
-    _require_oriented(domain, cfg)
-    _check_F_zero(nonlin)
-    _require_vanishing(u, domain, [BoundaryCurveId.AC, BoundaryCurveId.SIGMA],
-                       cfg, "step2")
-    params, co = domain.params, coefficients(domain.params)
+    params, co = _gate(u, domain, cfg, "step2", nonlin=nonlin)
     c1, c2 = co.c1, co.c2
 
     lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
@@ -378,18 +414,15 @@ def step2_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
     rhs = float(co.kappa) * f_int + bc
     sides = {"F_integral": f_int, "FV_flux_BC": bc}
     return _report("step2", domain, to_prefix(u), nonlin.name, lhs, rhs, 0.0,
-                   sides, cfg, time.perf_counter() - t0)
+                   sides, cfg)
 
 
+@_timed
 def step3_residual(u: ScalarField, domain: DomainSpec,
                    cfg: QuadConfig = QuadConfig()) -> IdentityReport:
     """For u vanishing on AC and sigma:
     int u O(u) = int E + int_BC u Xu . eta."""
-    t0 = time.perf_counter()
-    _require_oriented(domain, cfg)
-    _require_vanishing(u, domain, [BoundaryCurveId.AC, BoundaryCurveId.SIGMA],
-                       cfg, "step3")
-    params, co = domain.params, coefficients(domain.params)
+    params, co = _gate(u, domain, cfg, "step3")
 
     lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
                            j.u * O_from_jet(params, j, x, y, w))
@@ -403,22 +436,17 @@ def step3_residual(u: ScalarField, domain: DomainSpec,
     bc = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, uxu_form)
     rhs = e_int + bc
     sides = {"energy_integral": e_int, "uXu_flux_BC": bc}
-    return _report("step3", domain, to_prefix(u), "", lhs, rhs, 0.0, sides,
-                   cfg, time.perf_counter() - t0)
+    return _report("step3", domain, to_prefix(u), "", lhs, rhs, 0.0, sides, cfg)
 
 
+@_timed
 def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
                       cfg: QuadConfig = QuadConfig()) -> IdentityReport:
     """Dilation identity with explicit defect:
     kappa int F(u) - c int u f(u)
       = (1/2)[int_{BC u sigma} w1 + int_BC w2] + int (Du - c u)(f(u) - O u).
     For a true solution (O u = f(u)) the defect vanishes."""
-    t0 = time.perf_counter()
-    _require_oriented(domain, cfg)
-    _check_F_zero(nonlin)
-    _require_vanishing(u, domain, [BoundaryCurveId.AC, BoundaryCurveId.SIGMA],
-                       cfg, "pohozaev")
-    params, co = domain.params, coefficients(domain.params)
+    params, co = _gate(u, domain, cfg, "pohozaev", nonlin=nonlin)
     c = float(co.c)
 
     f_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
@@ -441,7 +469,7 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
     note = ("defect form: the identity is conditional on O u = f(u); "
             "for manufactured fields the defect term closes it exactly")
     return _report("pohozaev", domain, to_prefix(u), nonlin.name, lhs, rhs,
-                   defect, sides, cfg, time.perf_counter() - t0, note)
+                   defect, sides, cfg, note)
 
 
 def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
@@ -451,15 +479,13 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
     elliptic half-plane y >= 0 (omega1, omega2) and exactly zero on the
     omega4 segment; the omega3 arc dips into y < 0 where the integrand is
     sign-indefinite, so no sign claim is made there."""
-    _require_oriented(domain, cfg)
-    _require_vanishing(u, domain, [BoundaryCurveId.SIGMA], cfg,
-                       "sigma_boundary_sign")
+    params, co = _gate(u, domain, cfg, "sigma_boundary_sign",
+                       [BoundaryCurveId.SIGMA])
     rep = check_starshaped(domain)
     if not rep.is_starlike:
         raise PreconditionViolated(
             f"domain is not star-shaped under the dilation flow "
             f"(min form {rep.min_form:.3e} at {rep.worst_point})")
-    params, co = domain.params, coefficients(domain.params)
     c1, c2 = co.c1, co.c2
 
     def form(j, x, y, w):
@@ -467,6 +493,24 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
         return -c2 * y * e, c1 * x * e
 
     return _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, form)
+
+
+SIGN_CLAIM_VARIANTS = ("omega1", "omega2", "omega4")  # sigma stays in y >= 0
+
+
+@_timed
+def sigma_sign_report(u: ScalarField, domain: DomainSpec,
+                      cfg: QuadConfig = QuadConfig()) -> IdentityReport:
+    """sigma_boundary_sign as a one-sided check: on SIGN_CLAIM_VARIANTS the
+    value must be at least -1e-9; elsewhere no sign is claimed and the
+    record passes with the value it found."""
+    val = sigma_boundary_sign(u, domain, cfg)
+    claimed = domain.variant.value in SIGN_CLAIM_VARIANTS
+    note = ("sign claim holds: sigma lies in y >= 0" if claimed else
+            "no sign claim: this sigma dips below y = 0")
+    return _record("sigma-sign", domain, val, val, not claimed or val >= -1e-9,
+                   field=to_prefix(u), note=note,
+                   sides={"value": val, "bound": -1e-9})
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +524,8 @@ def _box_sums(u: ScalarField, lx: float, ly: float, pexp: float,
     lp, grad = [], []
     for g in quad.box_grids(lx, ly, cfg):
         j = u.jet(g.x, g.y)
-        lp.append(_reduce(lambda j, x, y, w: np.abs(j.u) ** pexp, g, j))
-        grad.append(_reduce(lambda j, x, y, w: norm_from_jet(params, j, x, y), g, j))
+        lp.append(quad._level_sum([np.abs(j.u) ** pexp], [g.w]))
+        grad.append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)], [g.w]))
     return tuple(lp), tuple(grad)
 
 
@@ -495,7 +539,6 @@ def scaling_ratios(u: ScalarField, lam: float, pexp: float,
         raise ValueError("lam must be positive")
     if not pexp >= 1:
         raise ValueError("pexp must be >= 1")
-    from .field import dilate  # local to avoid import cycle at module load
 
     params = OperatorParams(coeffs.c1 - 2, coeffs.c2 - 2)
     ul = dilate(u, lam, coeffs)
@@ -510,6 +553,21 @@ def scaling_ratios(u: ScalarField, lam: float, pexp: float,
     if lp_base == 0.0 or gr_base == 0.0:
         raise PreconditionViolated("u must not vanish identically on the box")
     return {"lp_ratio": lp_dil / lp_base, "grad_ratio": gr_dil / gr_base}
+
+
+@_timed
+def scaling_reports(u: ScalarField, lam: float, pexp: float,
+                    params: OperatorParams,
+                    cfg: QuadConfig = QuadConfig()) -> list[IdentityReport]:
+    """scaling_ratios at one lam as two records, scaling-lp against
+    lam**kappa and scaling-grad against lam**mu, each to 1e-9 relative."""
+    co = coefficients(params)
+    r = scaling_ratios(u, lam, pexp, co, cfg)
+    return [_record(f"scaling-{name}", params, got, lam ** expo,
+                    abs(got / lam ** expo - 1.0) <= 1e-9, field=to_prefix(u),
+                    sides={"lam": lam, "pexp": pexp}, note=f"expected lam**{expo}")
+            for name, expo, got in (("lp", co.kappa, r["lp_ratio"]),
+                                    ("grad", co.mu, r["grad_ratio"]))]
 
 
 # ---------------------------------------------------------------------------
@@ -707,3 +765,59 @@ def equivalence_chain(params: OperatorParams) -> bool:
     m_l = Fraction(co.c2, co.mu)
     c_l = Fraction(2 * co.c2, co.mu)
     return m_l <= c_l <= 2 * m_l and c_l == 2 * m_l
+
+
+# ---------------------------------------------------------------------------
+# the Hardy package as check records, each timed on its own
+
+@_timed
+def _constants_report(params: OperatorParams, pq: HardyParams) -> IdentityReport:
+    hc = hardy_constants(params, pq)
+    m_l = float(hc["M_L"])
+    return _record("hardy-constants", params, hc["grid_sup"], m_l,
+                   abs(hc["grid_sup"] - m_l) <= 1e-8 * max(1.0, m_l),
+                   sides={k: str(hc[k]) for k in ("M_L", "r", "C_L_low", "C_L_high")},
+                   note="grid supremum of G_L against the closed form")
+
+
+@_timed
+def _chain_report(params: OperatorParams) -> IdentityReport:
+    co = coefficients(params)
+    c_l = 2.0 * co.c2 / co.mu
+    return _record("hardy-chain", params, c_l, c_l, equivalence_chain(params),
+                   note="M_L <= 2 c2/mu = 2 M_L, exact rationals")
+
+
+@_timed
+def _energy_sweep_report(params, pq, sweeps, rng, cfg) -> IdentityReport:
+    worst = min(boundary_energy_I(params, pq.y_c, random_boundary_phi(pq.y_c, rng), cfg)
+                for _ in range(sweeps))
+    return _record("hardy-energy-sweep", params, worst, worst, worst >= -1e-9,
+                   sides={"sweeps": sweeps, "bound": -1e-9},
+                   note="minimum of the boundary energy functional over random phi")
+
+
+@_timed
+def _inequality_sweep_report(params, pq, sweeps, rng, cfg) -> IdentityReport:
+    worst = max(r.lhs - r.rhs for r in (
+        hardy_inequality_check(params, pq, random_hardy_phi(pq.y_c, rng), cfg)
+        for _ in range(sweeps)))
+    return _record("hardy-inequality-sweep", params, worst, worst, worst <= 1e-10,
+                   sides={"sweeps": sweeps, "bound": 1e-10},
+                   note="max of lhs - rhs over random phi; nonpositive means "
+                        "the inequality held")
+
+
+def hardy_reports(params: OperatorParams, pq: HardyParams = HardyParams(),
+                  sweeps: int = 100, seed: int = 42,
+                  cfg: QuadConfig = QuadConfig()) -> list[IdentityReport]:
+    """Four records: the grid supremum of G_L against M_L (to 1e-8), the
+    exact chain M_L <= 2 c2/mu = 2 M_L, and over sweeps seeded random phi
+    the least boundary energy (at least -1e-9) and the largest Hardy
+    margin lhs - rhs (at most 1e-10)."""
+    if sweeps < 1:
+        raise ValueError("sweeps must be at least 1")
+    rng = np.random.default_rng(seed)
+    return [_constants_report(params, pq), _chain_report(params),
+            _energy_sweep_report(params, pq, sweeps, rng, cfg),
+            _inequality_sweep_report(params, pq, sweeps, rng, cfg)]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign
+
+import numpy as np
 
 from .errors import DegenerateDenominator, ParityViolation
 
@@ -147,23 +148,9 @@ def power_nonlinearity(alpha: float = 3.0) -> NonlinearitySpec:
     """f(s) = s|s|^(alpha-1), F(s) = |s|^(alpha+1)/(alpha+1)."""
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-
-    def f(s):
-        try:
-            return copysign(abs(s) ** alpha, s)
-        except TypeError:
-            import numpy as np
-            s = np.asarray(s)
-            return np.sign(s) * np.abs(s) ** alpha
-
-    def F(s):
-        try:
-            return abs(s) ** (alpha + 1) / (alpha + 1)
-        except TypeError:
-            import numpy as np
-            return np.abs(np.asarray(s)) ** (alpha + 1) / (alpha + 1)
-
-    return NonlinearitySpec("power", f=f, F=F, alpha=alpha)
+    return NonlinearitySpec(
+        "power", f=lambda s: np.sign(s) * np.abs(s) ** alpha,
+        F=lambda s: np.abs(s) ** (alpha + 1) / (alpha + 1), alpha=alpha)
 
 
 def linear_nonlinearity() -> NonlinearitySpec:

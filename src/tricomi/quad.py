@@ -34,6 +34,7 @@ __all__ = [
     "box_grids",
     "curve_grids",
     "check_two_level",
+    "error_scale",
     "divergence_selftest",
 ]
 
@@ -60,6 +61,11 @@ class QuadConfig:
         return self.panels_per_axis, max(1, self.panels_per_axis // 2)
 
 
+def error_scale(a: float, b: float) -> float:
+    """|a| + |b| + 1: the size two compared values are measured against."""
+    return abs(a) + abs(b) + 1.0
+
+
 @dataclass(frozen=True)
 class Residual:
     lhs: float
@@ -71,7 +77,7 @@ class Residual:
 
     @property
     def rel_err(self) -> float:
-        return self.abs_err / (abs(self.lhs) + abs(self.rhs) + 1.0)
+        return self.abs_err / error_scale(self.lhs, self.rhs)
 
 
 @lru_cache(maxsize=512)
@@ -93,7 +99,7 @@ def check_two_level(fine: float, coarse: float, cfg: QuadConfig,
                     what: str = "integral") -> float:
     if not (math.isfinite(fine) and math.isfinite(coarse)):
         problem = "is not finite"
-    elif abs(fine - coarse) > max(cfg.abs_tol, cfg.rel_tol * (abs(fine) + abs(coarse) + 1.0)):
+    elif abs(fine - coarse) > max(cfg.abs_tol, cfg.rel_tol * error_scale(fine, coarse)):
         problem = "did not settle"
     else:
         return fine
@@ -104,16 +110,19 @@ def check_two_level(fine: float, coarse: float, cfg: QuadConfig,
         what=what, fine=fine, coarse=coarse, panels=panels)
 
 
-def _interval_sum(f, lo: float, hi: float, order: int, panels: int) -> float:
-    t, w = _panel_nodes(lo, hi, order, panels)
-    vals = np.asarray(f(t), dtype=float)
-    return float(np.sum(vals * w))
+def _level_sum(parts, weights) -> float:
+    """sum_k sum_i parts[k][i] * weights[k][i] over one grid level: one
+    whole-array sum per part, added part by part in order to the first
+    part's sum (never to an extra +0.0, which would flip a -0.0).  A part
+    may be a scalar, which broadcasts against its weights."""
+    sums = [np.sum(np.asarray(p, float) * w) for p, w in zip(parts, weights)]
+    return float(sum(sums[1:], sums[0]))
 
 
 def integrate_interval(f, lo: float, hi: float, cfg: QuadConfig) -> float:
     """Two-level composite Gauss integral of a vectorized f on [lo, hi]."""
-    fine, coarse = _two_levels(
-        lambda panels: _interval_sum(f, lo, hi, cfg.gauss_order, panels), cfg)
+    nodes = (_panel_nodes(lo, hi, cfg.gauss_order, panels) for panels in cfg.levels)
+    fine, coarse = (_level_sum([f(t)], [w]) for t, w in nodes)
     return check_two_level(fine, coarse, cfg, "interval integral")
 
 
@@ -252,32 +261,28 @@ def _eval_on(g, x, y):
 
 def integrate_domain(g, domain, cfg: QuadConfig) -> float:
     """Two-level area integral of a pointwise density g(x, y)."""
-    fine, coarse = domain_grids(domain, cfg)
-    vf = float(np.sum(_eval_on(g, fine.x, fine.y) * fine.w))
-    vc = float(np.sum(_eval_on(g, coarse.x, coarse.y) * coarse.w))
-    return check_two_level(vf, vc, cfg, "area integral")
+    fine, coarse = (_level_sum([_eval_on(g, lv.x, lv.y)], [lv.w])
+                    for lv in domain_grids(domain, cfg))
+    return check_two_level(fine, coarse, cfg, "area integral")
 
 
-def _curve_sum(form, level: CurveGridLevel) -> float:
-    p, q = form(level.x, level.y)
-    p = np.broadcast_to(np.asarray(p, float), level.x.shape)
-    q = np.broadcast_to(np.asarray(q, float), level.x.shape)
-    return float(np.sum(p * level.wx) + np.sum(q * level.wy))
+def _form_integral(form, domain, curve_id, cfg: QuadConfig, what: str) -> float:
+    # form(x, y) -> (P, Q), summed as P dx + Q dy on each level
+    fine, coarse = (_level_sum(form(lv.x, lv.y), (lv.wx, lv.wy))
+                    for lv in curve_grids(domain, curve_id, cfg))
+    return check_two_level(fine, coarse, cfg, what)
 
 
 def integrate_curve(form, domain, curve_id: BoundaryCurveId, cfg: QuadConfig) -> float:
     """Two-level integral of the 1-form P dx + Q dy over one boundary piece,
     traversed positively; form(x, y) -> (P, Q)."""
-    fine, coarse = curve_grids(domain, curve_id, cfg)
-    return check_two_level(_curve_sum(form, fine), _curve_sum(form, coarse),
-                           cfg, f"curve integral on {getattr(curve_id, 'value', curve_id)}")
+    return _form_integral(form, domain, curve_id, cfg,
+                          f"curve integral on {getattr(curve_id, 'value', curve_id)}")
 
 
 def integrate_boundary(form, domain, cfg: QuadConfig) -> float:
     """Two-level integral of P dx + Q dy around the whole boundary loop."""
-    fine, coarse = curve_grids(domain, None, cfg)
-    return check_two_level(_curve_sum(form, fine), _curve_sum(form, coarse),
-                           cfg, "boundary integral")
+    return _form_integral(form, domain, None, cfg, "boundary integral")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Blocked evaluation: jets and area integrands over a grid level are computed
 in blocks of quad._BLOCK points and must equal one whole-array evaluation
 bit for bit, raise the same errors, and keep their temporaries small."""
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -70,6 +72,23 @@ def test_division_by_zero_in_the_last_block_raises():
     with pytest.raises(DomainError):
         u.jet(x, x)
     assert np.all(np.isfinite(u(x[:-1], x[:-1])))
+
+
+@pytest.mark.parametrize("n", [100, 3 * quad._BLOCK + 5], ids=["one-block", "blocks"])
+def test_a_jet_frees_its_points_without_the_garbage_collector(n):
+    # a reference cycle in the tree walk would keep the points, and every
+    # jet it looked up, alive until the next collection, so the peak memory
+    # of a run would follow the collector's timing
+    u = (X * Y + Const(1.0)) * (Const(2.0) - X)
+    x = np.arange(n) / n   # owns its data, so views of it pin it
+    points = weakref.ref(x)
+    gc.disable()
+    try:
+        u.jet(x, x[::-1].copy(), known=lambda node: None)
+        del x
+        assert points() is None
+    finally:
+        gc.enable()
 
 
 def test_blocked_eval_on_equals_the_whole_array(monkeypatch):

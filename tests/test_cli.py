@@ -6,6 +6,9 @@ import pytest
 
 from tricomi import identities as ident
 from tricomi.cli import run
+from tricomi.field import VANISH_AC_SIGMA, manufactured, parse_field
+from tricomi.geometry import omega1, omega2, omega3, omega4
+from tricomi.params import OperatorParams
 
 
 @pytest.fixture(autouse=True)
@@ -245,6 +248,79 @@ def test_scaling_reports(tmp_path, capsys):
     assert got[("scaling-lp", 2.0)]["rhs"] == 2.0 ** 5
     assert got[("scaling-grad", 2.0)]["rhs"] == 2.0 ** 1
     assert got[("scaling-lp", 0.5)]["lhs"] == 0.5 ** 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["hardy", "--m1", "1", "--m2", "4", "--sweeps", "5"],
+    ["scaling", "--m1", "1", "--m2", "0"],
+], ids=["hardy", "scaling"])
+def test_timing_flag_times_every_record(tmp_path, argv):
+    rep = tmp_path / "r.json"
+    assert run(argv + ["--timing", "--report", str(rep)]) == 0
+    records = json.loads(rep.read_text())["reports"]
+    assert records and all(r["seconds"] > 0.0 for r in records)
+
+
+def written(path):
+    return json.loads(path.read_text())["reports"]
+
+
+def as_written(records):
+    # a record as a report file holds it with timing off
+    return [json.loads(r.with_seconds(0.0).to_json()) for r in records]
+
+
+def test_python_records_equal_the_command_records(tmp_path):
+    rep = tmp_path / "r.json"
+    params = OperatorParams(1, 4)
+    assert run(["hardy", "--m1", "1", "--m2", "4", "--sweeps", "5",
+                "--report", str(rep)]) == 0
+    assert written(rep) == as_written(
+        ident.hardy_reports(params, ident.HardyParams(), sweeps=5, seed=42))
+
+    field = "(* (- 1 (* x x)) (- 1 (* y y)))"
+    assert run(["scaling", "--m1", "1", "--m2", "4", "--field", field,
+                "--lam", "0.5", "--lam", "2", "--report", str(rep)]) == 0
+    u = parse_field(field)
+    assert written(rep) == as_written(
+        [r for lam in (0.5, 2.0) for r in ident.scaling_reports(u, lam, 4.0, params)])
+
+    dom = omega2(1, 4, 0.5)
+    assert run(["verify", "sigma-sign", "--variant", "omega2", "--x0", "0.5",
+                "--report", str(rep)]) == 0
+    u = manufactured(dom, vanish_on=VANISH_AC_SIGMA)
+    assert written(rep) == as_written([ident.sigma_sign_report(u, dom)])
+
+
+def test_suite_selftest_and_sign_records_equal_the_python_records(tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["suite", "--m1", "1", "--m2", "4", "--report", str(rep)]) == 0
+    doms = {d.variant.value: d for d in (omega1(1, 4, -0.5), omega2(1, 4, 0.5),
+                                         omega3(1, 4, -0.5), omega4(1, 4, -0.5))}
+    records = written(rep)
+    selftests = [r for r in records if r["identity"] == "divergence-selftest"]
+    assert [r["variant"] for r in selftests] == sorted(doms)
+    assert selftests == as_written([ident.selftest_report(d) for d in doms.values()])
+    signs = [r for r in records if r["identity"] == "sigma-sign"]
+    claimed = [doms[v] for v in ident.SIGN_CLAIM_VARIANTS]
+    assert signs == as_written([ident.sigma_sign_report(
+        manufactured(d, vanish_on=VANISH_AC_SIGMA), d) for d in claimed])
+
+
+@pytest.mark.parametrize("argv", [
+    ["domain", "--x0=-1e200"],
+    ["verify", "step1", "--x0=-1e120"],
+    ["scaling", "--m1", "1", "--m2", "4", "--lam", "1e200"],
+    ["scaling", "--m1", "1", "--m2", "4", "--lam", "1e-200"],
+    ["flow", "--m1", "1", "--m2", "4", "--x", "0.5", "--y", "0.5",
+     "--t-max=-1e300"],
+], ids=["domain", "verify", "scaling-large-lam", "scaling-small-lam", "flow"])
+def test_overflow_is_a_config_error(capsys, argv):
+    # exit 1 means a check failed its bound; an input beyond float range
+    # is a configuration error
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: numeric overflow: ") and out == ""
 
 
 def test_suite_skips_inadmissible_and_passes(tmp_path, capsys):

@@ -319,6 +319,12 @@ def test_hardy_random_sweeps():
         assert boundary_energy_I(params, pq.y_c, bnd) >= -1e-9
 
 
+def test_hardy_reports_refuse_an_empty_sweep():
+    # a sweep over no functions would pass without testing anything
+    with pytest.raises(ValueError, match="sweeps must be at least 1"):
+        identities.hardy_reports(OperatorParams(1, 4), sweeps=0)
+
+
 def test_equivalence_chain():
     assert equivalence_chain(OperatorParams(1, 4))
     assert equivalence_chain(OperatorParams(3, 2))

@@ -8,7 +8,7 @@ import pytest
 from tricomi.errors import NonConvergence
 from tricomi.geometry import (AreaChart, BoundaryCurveId, CurveChart, omega1,
                               omega2, omega3, omega4)
-from tricomi.quad import (QuadConfig, Residual, check_two_level,
+from tricomi.quad import (QuadConfig, Residual, _level_sum, check_two_level,
                           divergence_selftest, domain_grids,
                           integrate_boundary, integrate_curve,
                           integrate_domain, integrate_interval,
@@ -91,6 +91,24 @@ def test_check_two_level_rejects_non_finite_levels():
                          (inf, 1.0)):
         with pytest.raises(NonConvergence, match="is not finite"):
             check_two_level(fine, coarse, cfg)
+
+
+def test_level_sum_equals_whole_array_sums_bit_for_bit():
+    rng = np.random.default_rng(7)
+    f, p, q, w, wx, wy = rng.uniform(-1.0, 1.0, (6, 3001))
+    # a density, a constant density and (P, Q) 1-forms, one with a constant
+    # Q, each against its sums written out whole-array with numpy
+    assert _level_sum([f], [w]) == float(np.sum(np.asarray(f, float) * w))
+    assert _level_sum([2.5], [w]) == float(np.sum(np.broadcast_to(2.5, w.shape) * w))
+    assert _level_sum((p, q), (wx, wy)) == float(np.sum(p * wx) + np.sum(q * wy))
+    assert _level_sum((p, -0.75), (wx, wy)) == \
+        float(np.sum(p * wx) + np.sum(np.broadcast_to(-0.75, wy.shape) * wy))
+    # an all -0.0 level keeps the sign of zero those sums gave: the parts
+    # are added to the first part's sum, never to an extra +0.0
+    zeros, ones = np.full(4, -0.0), np.ones(4)
+    z = _level_sum((zeros, -0.0), (ones, ones))
+    ref = float(np.sum(zeros * ones) + np.sum(np.broadcast_to(-0.0, 4) * ones))
+    assert z == ref and math.copysign(1.0, z) == math.copysign(1.0, ref)
 
 
 def test_interval_gauss_exactness():
