@@ -11,208 +11,186 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import identities as ident
 from .errors import TricomiError
 from .field import Const, X, Y, manufactured, parse_field, VANISH_AC_SIGMA
-from .geometry import (DomainSpec, Point, boundary_csv, boundary_svg,
-                       check_starshaped, endpoints, flow, omega1, omega2,
-                       omega3, omega4)
+from .geometry import (DomainSpec, Point, Variant, boundary_csv, boundary_svg,
+                       check_starshaped, endpoints, flow)
 from .params import (OperatorParams, coefficients, critical_exponent,
                      cubic_nonlinearity, linear_nonlinearity,
                      power_nonlinearity, supercritical_threshold)
 from .quad import QuadConfig
 
-_FACTORIES = {"omega1": omega1, "omega2": omega2, "omega3": omega3,
-              "omega4": omega4}
-_ANCHOR_SIGN = {"omega1": -1.0, "omega2": 1.0, "omega3": -1.0, "omega4": -1.0}
+# the scaling command's dilations and L^p power; the suite runs them too
+_SCALING_LAMS, _SCALING_P = (0.5, 2.0), 4.0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name.  None means unset: a
+    required pair, an anchor on the variant's axis, or scaling's lams."""
     ap = argparse.ArgumentParser(
         prog="tricomi",
         description="numerical verification for a degenerate operator's "
                     "dilation identities, domains and Hardy constants")
     sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: hardy --p would silently mean --panels
+    command = partial(sub.add_parser, allow_abbrev=False,
+                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
     com = argparse.ArgumentParser(add_help=False)
     com.add_argument("--config", help="JSON file with the same keys as the "
-                                      "flags; flags win on conflict")
+                                      "flags; flags win, null means unset")
 
     # only the subcommands that actually write reports take these; accepting
     # them elsewhere would silently do nothing
-    rp = argparse.ArgumentParser(add_help=False)
-    rp.add_argument("--timing", action="store_const", const=True, default=None,
-                    help="record real wall times in reports (off by default "
-                         "so identical runs are byte-identical)")
-    rp.add_argument("--report", default=None,
-                    help="report path (default tricomi_report.json)")
-
-    qv = argparse.ArgumentParser(add_help=False)
-    qv.add_argument("--gauss-order", type=int, default=None)
-    qv.add_argument("--panels", type=int, default=None)
-    qv.add_argument("--no-grading", action="store_const", const=True, default=None)
-    qv.add_argument("--abs-tol", type=float, default=None)
-    qv.add_argument("--rel-tol", type=float, default=None)
+    ck = argparse.ArgumentParser(add_help=False)
+    ck.add_argument("--timing", action="store_true",
+                    help="record real wall times in reports; without it "
+                         "identical runs are byte-identical")
+    ck.add_argument("--report", default="tricomi_report.json", help="report path")
+    q = QuadConfig()
+    ck.add_argument("--gauss-order", type=int, default=q.gauss_order,
+                    help="Gauss points per panel")
+    ck.add_argument("--panels", type=int, default=q.panels_per_axis,
+                    help="fine-level panels per axis")
+    ck.add_argument("--no-grading", action="store_true",
+                    help="uniform instead of graded panels")
+    ck.add_argument("--abs-tol", type=float, default=q.abs_tol,
+                    help="two-level absolute tolerance")
+    ck.add_argument("--rel-tol", type=float, default=q.rel_tol,
+                    help="two-level relative tolerance")
 
     dm = argparse.ArgumentParser(add_help=False)
-    dm.add_argument("--variant", choices=sorted(_FACTORIES), default=None,
-                    help="default omega1")
-    dm.add_argument("--m1", type=int, default=None, help="default 1")
-    dm.add_argument("--m2", type=int, default=None, help="default 4")
-    dm.add_argument("--x0", type=float, default=None,
-                    help="anchor abscissa (omega1, omega2)")
-    dm.add_argument("--y0", type=float, default=None,
-                    help="anchor ordinate (omega3, omega4)")
+    dm.add_argument("--variant", choices=[v.value for v in Variant],
+                    default="omega1", help="domain variant")
+    dm.add_argument("--m1", type=int, default=1, help="exponent on y")
+    dm.add_argument("--m2", type=int, default=4, help="exponent on x")
+    dm.add_argument("--x0", type=float, help="anchor abscissa (omega1, omega2)")
+    dm.add_argument("--y0", type=float, help="anchor ordinate (omega3, omega4)")
 
-    p = sub.add_parser("exponent", parents=[com],
-                       help="critical exponent and supercritical threshold")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--m1", type=int, help="exponent on y (required)")
+    pair.add_argument("--m2", type=int, help="exponent on x (required)")
 
-    p = sub.add_parser("domain", parents=[com, dm],
-                       help="apex, endpoints, star-shape report, CSV/SVG")
-    p.add_argument("--csv", default=None, help="write boundary samples here")
-    p.add_argument("--svg", default=None, help="write boundary sketch here")
-    p.add_argument("--samples", type=int, default=None,
-                   help="samples per boundary piece (default 200)")
+    sd = argparse.ArgumentParser(add_help=False)
+    sd.add_argument("--seed", type=int, default=42, help="seed for randomized sweeps")
 
-    p = sub.add_parser("flow", parents=[com],
-                       help="trajectory table of the dilation flow")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--x", type=float, default=None, help="start abscissa")
-    p.add_argument("--y", type=float, default=None, help="start ordinate")
-    p.add_argument("--t-max", type=float, default=None, help="default 3.0")
-    p.add_argument("--steps", type=int, default=None, help="default 100")
-    p.add_argument("--csv", default=None, help="write table here, else stdout")
+    command("exponent", parents=[com, pair],
+            help="critical exponent and supercritical threshold")
 
-    p = sub.add_parser("verify", parents=[com, rp, dm, qv],
-                       help="check one identity on a fixture or user field")
+    p = command("domain", parents=[com, dm],
+                help="apex, endpoints, star-shape report, CSV/SVG")
+    p.add_argument("--csv", help="write boundary samples here")
+    p.add_argument("--svg", help="write boundary sketch here")
+    p.add_argument("--samples", type=int, default=200,
+                   help="samples per boundary piece")
+
+    p = command("flow", parents=[com, pair],
+                help="trajectory table of the dilation flow")
+    p.add_argument("--x", type=float, help="start abscissa (required)")
+    p.add_argument("--y", type=float, help="start ordinate (required)")
+    p.add_argument("--t-max", type=float, default=3.0, help="end time")
+    p.add_argument("--steps", type=int, default=100, help="time steps")
+    p.add_argument("--csv", help="write table here, else stdout")
+
+    p = command("verify", parents=[com, ck, dm],
+                help="check one identity on a fixture or user field")
     p.add_argument("which", choices=["step1", "step2", "step3", "pohozaev",
                                      "sigma-sign"])
-    p.add_argument("--field", default=None,
-                   help="prefix expression, e.g. '(* x y)'; default is the "
-                        "manufactured field of the domain")
+    p.add_argument("--field", help="prefix expression, e.g. '(* x y)'; unset "
+                                   "means the manufactured field of the domain")
     p.add_argument("--nonlinearity", choices=["cubic", "power", "linear"],
-                   default=None)
-    p.add_argument("--alpha", type=float, default=None,
-                   help="exponent for --nonlinearity power (default 3)")
+                   default="cubic", help="nonlinearity of step2 and pohozaev")
+    p.add_argument("--alpha", type=float, default=3.0,
+                   help="exponent for --nonlinearity power")
 
-    p = sub.add_parser("scaling", parents=[com, rp, qv],
-                       help="dilation ratios of L^p and gradient norms")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--lam", type=float, action="append", default=None,
-                   help="dilation parameter, repeatable (default 1/2 and 2)")
-    p.add_argument("--p", type=float, default=None, help="L^p power (default 4)")
-    p.add_argument("--field", default=None,
-                   help="prefix expression (default: a fixed smooth bump)")
+    p = command("scaling", parents=[com, ck, pair],
+                help="dilation ratios of L^p and gradient norms")
+    p.add_argument("--lam", type=float, action="append",
+                   help="dilation parameter, repeatable; unset means "
+                        + " and ".join(map(str, _SCALING_LAMS)))
+    p.add_argument("--p", type=float, default=_SCALING_P, help="L^p power")
+    p.add_argument("--field", help="prefix expression; unset means a smooth bump")
 
-    p = sub.add_parser("hardy", parents=[com, rp, qv],
-                       help="constants, G_L table, energy and inequality sweeps")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized sweeps (default 42)")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--y-c", type=float, default=None, help="default -1")
-    p.add_argument("--table", default=None, help="write x,GL table here")
-    p.add_argument("--table-points", type=int, default=None, help="default 100")
-    p.add_argument("--sweeps", type=int, default=None,
-                   help="random test functions per sweep (default 100)")
+    p = command("hardy", parents=[com, ck, pair, sd],
+                help="constants, G_L table, energy and inequality sweeps")
+    p.add_argument("--y-c", type=float, default=-1.0,
+                   help="left end of the interval (y_c, 0)")
+    p.add_argument("--table", help="write x,GL table here")
+    p.add_argument("--table-points", type=int, default=100, help="table rows")
+    p.add_argument("--sweeps", type=int, default=100,
+                   help="random test functions per sweep")
 
-    p = sub.add_parser("suite", parents=[com, rp, qv],
-                       help="full verification matrix for one parameter pair")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized sweeps (default 42)")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument("--x0", type=float, default=None,
+    p = command("suite", parents=[com, ck, pair, sd],
+                help="full verification matrix for one parameter pair")
+    p.add_argument("--x0", type=float, default=0.5,
                    help="anchor magnitude; signs are set per variant")
 
-    return ap
+    return ap, sub.choices
 
 
-# ---------------------------------------------------------------------------
-# config-file merge: every option defaults to None so a JSON config can fill
-# it; explicit flags always win
-
-def _merge(ns: argparse.Namespace) -> dict:
-    merged = dict(vars(ns))
-    path = merged.pop("config", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
-        allowed = set(merged) - {"command", "which"}
-        unknown = sorted(set(loaded) - allowed)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for k, v in loaded.items():
-            if merged.get(k) is None:
-                merged[k] = v
-    return merged
-
-
-def _get(cfg: dict, key: str, default):
-    v = cfg.get(key)
-    return default if v is None else v
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv; with --config, parse it again with the file's values as
+    the subcommand's defaults, so flags win.  A null value leaves the
+    default, and a key whose flag was given is left out, so a repeated
+    --lam replaces a config list instead of extending it."""
+    ap, commands = _build_parser()
+    args = ap.parse_args(argv)
+    if not args.config:
+        return args
+    with open(args.config, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(loaded) - (set(vars(args)) - {"command", "which", "config"}))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    sub = commands[args.command]
+    sub.set_defaults(**{k: v for k, v in loaded.items()
+                        if v is not None and getattr(args, k) == sub.get_default(k)})
+    return ap.parse_args(argv)
 
 
-def _quad_config(cfg: dict) -> QuadConfig:
-    base = QuadConfig()
-    return QuadConfig(
-        gauss_order=_get(cfg, "gauss_order", base.gauss_order),
-        panels_per_axis=_get(cfg, "panels", base.panels_per_axis),
-        grade_endpoints=not _get(cfg, "no_grading", False),
-        abs_tol=_get(cfg, "abs_tol", base.abs_tol),
-        rel_tol=_get(cfg, "rel_tol", base.rel_tol),
-    )
+def _quad_config(args) -> QuadConfig:
+    return QuadConfig(args.gauss_order, args.panels, not args.no_grading,
+                      args.abs_tol, args.rel_tol)
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
+def _count(args, key: str) -> int:
     # a count below 1 would make its check or table vacuous
-    n = _get(cfg, key, default)
+    n = getattr(args, key)
     if n < 1:
         raise ValueError(f"--{key.replace('_', '-')} must be at least 1")
     return n
 
 
-def _require(cfg: dict, *keys: str):
-    missing = [k for k in keys if cfg.get(k) is None]
+def _require(args, *keys: str):
+    # a config file may supply what the flags leave out
+    missing = [k for k in keys if getattr(args, k) is None]
     if missing:
         raise ValueError("missing required option(s): "
                          + ", ".join("--" + k.replace("_", "-") for k in missing))
 
 
-def _make_domain(cfg: dict) -> DomainSpec:
-    # absent flags fall back to the canonical fixture omega1(1, 4, -0.5)
-    variant = _get(cfg, "variant", "omega1")
-    m1, m2 = _get(cfg, "m1", 1), _get(cfg, "m2", 4)
-    factory = _FACTORIES[variant]
-    if variant in ("omega1", "omega2"):
-        if cfg.get("y0") is not None:
-            raise ValueError(f"{variant} takes --x0, not --y0")
-        return factory(m1, m2, _get(cfg, "x0", -0.5))
-    if cfg.get("x0") is not None:
-        raise ValueError(f"{variant} takes --y0, not --x0")
-    return factory(m1, m2, _get(cfg, "y0", -0.5))
+def _make_domain(args) -> DomainSpec:
+    # omega1/omega2 are anchored on the x axis, omega3/omega4 on the y axis
+    axis, other = (("x0", "y0") if args.variant in ("omega1", "omega2")
+                   else ("y0", "x0"))
+    if getattr(args, other) is not None:
+        raise ValueError(f"{args.variant} takes --{axis}, not --{other}")
+    anchor = getattr(args, axis)
+    return DomainSpec(Variant(args.variant), OperatorParams(args.m1, args.m2),
+                      -0.5 if anchor is None else anchor)
 
 
-def _make_nonlin(cfg: dict):
-    name = _get(cfg, "nonlinearity", "cubic")
-    if name == "cubic":
+def _make_nonlin(args):
+    if args.nonlinearity == "cubic":
         return cubic_nonlinearity()
-    if name == "power":
-        return power_nonlinearity(_get(cfg, "alpha", 3.0))
+    if args.nonlinearity == "power":
+        return power_nonlinearity(args.alpha)
     return linear_nonlinearity()
-
-
-def _second_matrix_field(base):
-    return base * (Const(1.0) + X / 2 - Y / 3)
 
 
 _DEFAULT_BUMP = (Const(1.0) - X ** 2) * (Const(1.0) - Y ** 2) \
@@ -244,46 +222,44 @@ def _print_report_lines(reports: list):
               f"rel_err {r.rel_err:.3e} {tag}")
 
 
-def _run_checks(cfg: dict, compute, show=None, extra: dict | None = None,
+def _run_checks(args, compute, show=None, extra: dict | None = None,
                 summary: bool = False) -> int:
     """The shared run of the report-writing commands.  compute(reports)
     appends the check records; if it fails, the report file still gets
     the records made so far and the error, and the error propagates.
     show(reports) prints what precedes the per-record lines."""
-    report_path = _get(cfg, "report", "tricomi_report.json")
-    timing = _get(cfg, "timing", False)
     reports: list = []
     try:
         compute(reports)
     except BaseException as e:
-        _write_report_file(report_path, reports, timing,
+        _write_report_file(args.report, reports, args.timing,
                            {"error": f"{type(e).__name__}: {e}"})
         raise
     if show is not None:
         show(reports)
-    _write_report_file(report_path, reports, timing, extra)
+    _write_report_file(args.report, reports, args.timing, extra)
     _print_report_lines(reports)
     n_pass = sum(1 for r in reports if r.passed)
     if summary:
         print(f"suite {n_pass}/{len(reports)} checks passed")
-    print(f"report {report_path}")
+    print(f"report {args.report}")
     return 0 if n_pass == len(reports) else 1
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_exponent(cfg: dict) -> int:
-    _require(cfg, "m1", "m2")
-    params = OperatorParams(cfg["m1"], cfg["m2"])
+def _cmd_exponent(args) -> int:
+    _require(args, "m1", "m2")
+    params = OperatorParams(args.m1, args.m2)
     print(f"critical_exponent {critical_exponent(params)}")
     print(f"supercritical_threshold {supercritical_threshold(params)}")
     return 0
 
 
-def _cmd_domain(cfg: dict) -> int:
-    samples = _count(cfg, "samples", 200)
-    dom = _make_domain(cfg)
+def _cmd_domain(args) -> int:
+    samples = _count(args, "samples")
+    dom = _make_domain(args)
     a, b = endpoints(dom)
     apex = dom.apex
     print(f"variant {dom.variant.value}")
@@ -294,122 +270,114 @@ def _cmd_domain(cfg: dict) -> int:
     rep = check_starshaped(dom)
     print(f"starlike {'true' if rep.is_starlike else 'false'}")
     print(f"min_form {rep.min_form!r}")
-    if cfg.get("csv"):
-        with open(cfg["csv"], "w", encoding="utf-8") as fh:
-            fh.write(boundary_csv(dom, samples_per_piece=samples))
-        print(f"csv {cfg['csv']}")
-    if cfg.get("svg"):
-        with open(cfg["svg"], "w", encoding="utf-8") as fh:
-            fh.write(boundary_svg(dom, samples_per_piece=samples))
-        print(f"svg {cfg['svg']}")
+    for kind, draw in (("csv", boundary_csv), ("svg", boundary_svg)):
+        path = getattr(args, kind)
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(draw(dom, samples_per_piece=samples))
+            print(f"{kind} {path}")
     return 0 if rep.is_starlike else 1
 
 
-def _cmd_flow(cfg: dict) -> int:
-    _require(cfg, "m1", "m2", "x", "y")
-    co = coefficients(OperatorParams(cfg["m1"], cfg["m2"]))
-    p0 = Point(cfg["x"], cfg["y"])
-    t_max = _get(cfg, "t_max", 3.0)
-    steps = _count(cfg, "steps", 100)
+def _cmd_flow(args) -> int:
+    _require(args, "m1", "m2", "x", "y")
+    co = coefficients(OperatorParams(args.m1, args.m2))
+    p0 = Point(args.x, args.y)
+    steps = _count(args, "steps")
     lines = ["t,x,y"]
     for i in range(steps + 1):
-        t = t_max * i / steps
+        t = args.t_max * i / steps
         p = flow(p0, t, co)
         lines.append("%.17g,%.17g,%.17g" % (t, p.x, p.y))
     text = "\n".join(lines) + "\n"
-    if cfg.get("csv"):
-        with open(cfg["csv"], "w", encoding="utf-8") as fh:
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"csv {cfg['csv']}")
+        print(f"csv {args.csv}")
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_verify(cfg: dict) -> int:
-    dom = _make_domain(cfg)
-    qcfg = _quad_config(cfg)
-    u = parse_field(cfg["field"]) if cfg.get("field") is not None \
+def _cmd_verify(args) -> int:
+    dom = _make_domain(args)
+    qcfg = _quad_config(args)
+    u = parse_field(args.field) if args.field is not None \
         else manufactured(dom, vanish_on=VANISH_AC_SIGMA)
     checks = {
         "step1": lambda: ident.step1_residual(u, dom, qcfg),
-        "step2": lambda: ident.step2_residual(u, _make_nonlin(cfg), dom, qcfg),
+        "step2": lambda: ident.step2_residual(u, _make_nonlin(args), dom, qcfg),
         "step3": lambda: ident.step3_residual(u, dom, qcfg),
-        "pohozaev": lambda: ident.pohozaev_residual(u, _make_nonlin(cfg), dom, qcfg),
+        "pohozaev": lambda: ident.pohozaev_residual(u, _make_nonlin(args), dom, qcfg),
         "sigma-sign": lambda: ident.sigma_sign_report(u, dom, qcfg),
     }
-    return _run_checks(cfg, lambda reports: reports.append(checks[cfg["which"]]()))
+    return _run_checks(args, lambda reports: reports.append(checks[args.which]()))
 
 
-def _cmd_scaling(cfg: dict) -> int:
-    _require(cfg, "m1", "m2")
-    qcfg = _quad_config(cfg)
-    lams = _get(cfg, "lam", [0.5, 2.0])
-    pexp = _get(cfg, "p", 4.0)
-    u = parse_field(cfg["field"]) if cfg.get("field") is not None else _DEFAULT_BUMP
+def _cmd_scaling(args) -> int:
+    _require(args, "m1", "m2")
+    qcfg = _quad_config(args)
+    lams = _SCALING_LAMS if args.lam is None else args.lam
+    u = parse_field(args.field) if args.field is not None else _DEFAULT_BUMP
 
     def compute(reports):
-        params = OperatorParams(cfg["m1"], cfg["m2"])
+        params = OperatorParams(args.m1, args.m2)
         for lam in lams:
-            reports.extend(ident.scaling_reports(u, lam, pexp, params, qcfg))
+            reports.extend(ident.scaling_reports(u, lam, args.p, params, qcfg))
 
-    return _run_checks(cfg, compute)
+    return _run_checks(args, compute)
 
 
-def _cmd_hardy(cfg: dict) -> int:
-    _require(cfg, "m1", "m2")
-    pq = ident.HardyParams(p=_get(cfg, "p", 2.0), q=_get(cfg, "q", 2.0),
-                           y_c=_get(cfg, "y_c", -1.0))
-    qcfg = _quad_config(cfg)
-    sweeps = _count(cfg, "sweeps", 100)
-    n = _count(cfg, "table_points", 100)
-    seed = _get(cfg, "seed", 42)
+def _cmd_hardy(args) -> int:
+    _require(args, "m1", "m2")
+    pq = ident.HardyParams(y_c=args.y_c)
+    qcfg = _quad_config(args)
+    sweeps = _count(args, "sweeps")
+    n = _count(args, "table_points")
 
     def show(reports):
         for key, value in reports[0].sides.items():   # M_L, r, C_L_low, C_L_high
             print(f"{key} {value}")
         print(f"grid_sup {reports[0].lhs!r}")
-        if cfg.get("table"):
-            params = OperatorParams(cfg["m1"], cfg["m2"])
+        if args.table:
+            params = OperatorParams(args.m1, args.m2)
             lines = ["x,GL"]
             for i in range(n):
                 x = pq.y_c * (1.0 - (i + 0.5) / n)
                 lines.append("%.17g,%.17g" % (x, ident.hardy_GL(params, pq.y_c, x)))
-            with open(cfg["table"], "w", encoding="utf-8") as fh:
+            with open(args.table, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-            print(f"table {cfg['table']}")
+            print(f"table {args.table}")
 
-    return _run_checks(cfg, lambda reports: reports.extend(ident.hardy_reports(
-        OperatorParams(cfg["m1"], cfg["m2"]), pq, sweeps, seed, qcfg)), show=show)
+    return _run_checks(args, lambda reports: reports.extend(ident.hardy_reports(
+        OperatorParams(args.m1, args.m2), pq, sweeps, args.seed, qcfg)), show=show)
 
 
-def _cmd_suite(cfg: dict) -> int:
-    _require(cfg, "m1", "m2")
-    m1, m2 = cfg["m1"], cfg["m2"]
-    mag = abs(_get(cfg, "x0", 0.5))
+def _cmd_suite(args) -> int:
+    _require(args, "m1", "m2")
+    mag = abs(args.x0)
     if mag == 0:
         raise ValueError("anchor magnitude must be nonzero")
-    qcfg = _quad_config(cfg)
-    seed = _get(cfg, "seed", 42)
-    params = OperatorParams(m1, m2)
+    qcfg = _quad_config(args)
+    params = OperatorParams(args.m1, args.m2)
 
     domains = []
     skipped = {}
-    for name in sorted(_FACTORIES):
+    for v in Variant:
         try:
-            domains.append(_FACTORIES[name](m1, m2, _ANCHOR_SIGN[name] * mag))
+            domains.append(DomainSpec(v, params, mag if v is Variant.OMEGA2 else -mag))
         except TricomiError as e:
-            skipped[name] = str(e)
+            skipped[v.value] = str(e)
     if not domains:
         raise ValueError(
-            f"no domain variant admits (m1, m2) = ({m1}, {m2}); "
+            f"no domain variant admits (m1, m2) = ({params.m1}, {params.m2}); "
             "each variant needs m1 odd, and omega1 needs m2 divisible by 4")
 
     def compute(reports):
         for dom in domains:
             reports.append(ident.selftest_report(dom, qcfg))
             base = manufactured(dom, vanish_on=VANISH_AC_SIGMA)
-            for u in (base, _second_matrix_field(base)):
+            for u in (base, base * (Const(1.0) + X / 2 - Y / 3)):
                 reports.append(ident.step1_residual(u, dom, qcfg))
                 reports.append(ident.step3_residual(u, dom, qcfg))
                 for nl in (cubic_nonlinearity(), power_nonlinearity(3.0)):
@@ -417,9 +385,10 @@ def _cmd_suite(cfg: dict) -> int:
                     reports.append(ident.pohozaev_residual(u, nl, dom, qcfg))
             if dom.variant.value in ident.SIGN_CLAIM_VARIANTS:
                 reports.append(ident.sigma_sign_report(base, dom, qcfg))
-        for lam in (0.5, 2.0):
-            reports.extend(ident.scaling_reports(_DEFAULT_BUMP, lam, 4.0, params, qcfg))
-        reports.extend(ident.hardy_reports(params, seed=seed, cfg=qcfg))
+        for lam in _SCALING_LAMS:
+            reports.extend(ident.scaling_reports(_DEFAULT_BUMP, lam, _SCALING_P,
+                                                 params, qcfg))
+        reports.extend(ident.hardy_reports(params, seed=args.seed, cfg=qcfg))
         reports.sort(key=lambda r: (r.variant, r.identity, r.f, r.field, r.note))
 
     def show(reports):
@@ -430,7 +399,7 @@ def _cmd_suite(cfg: dict) -> int:
              "supercritical_threshold": str(supercritical_threshold(params))}
     if skipped:
         extra["skipped_variants"] = skipped
-    return _run_checks(cfg, compute, show=show, extra=extra, summary=True)
+    return _run_checks(args, compute, show=show, extra=extra, summary=True)
 
 
 _DISPATCH = {
@@ -445,14 +414,16 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    ap = _build_parser()
-    ns = ap.parse_args(argv)
     try:
-        cfg = _merge(ns)
-        return _DISPATCH[ns.command](cfg)
+        args = _parse(argv)
+        return _DISPATCH[args.command](args)
     except OverflowError as e:
         # an input too large for float arithmetic is a configuration error
         print(f"error: numeric overflow: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # so is a grid or sweep too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
     except (TricomiError, ValueError, OSError) as e:  # JSONDecodeError too
         print(f"error: {e}", file=sys.stderr)

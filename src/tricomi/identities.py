@@ -13,6 +13,7 @@ import json
 import math
 import time
 from collections import OrderedDict, namedtuple
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from dataclasses import field as _default
 from fractions import Fraction
@@ -810,14 +811,21 @@ def _inequality_sweep_report(params, pq, sweeps, rng, cfg) -> IdentityReport:
 
 def hardy_reports(params: OperatorParams, pq: HardyParams = HardyParams(),
                   sweeps: int = 100, seed: int = 42,
-                  cfg: QuadConfig = QuadConfig()) -> list[IdentityReport]:
+                  cfg: QuadConfig = QuadConfig()) -> Iterator[IdentityReport]:
     """Four records: the grid supremum of G_L against M_L (to 1e-8), the
     exact chain M_L <= 2 c2/mu = 2 M_L, and over sweeps seeded random phi
     the least boundary energy (at least -1e-9) and the largest Hardy
-    margin lhs - rhs (at most 1e-10)."""
+    margin lhs - rhs (at most 1e-10).  They are made one at a time as the
+    iterator is consumed, so a list it extends keeps the records finished
+    before a failure."""
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     rng = np.random.default_rng(seed)
-    return [_constants_report(params, pq), _chain_report(params),
-            _energy_sweep_report(params, pq, sweeps, rng, cfg),
-            _inequality_sweep_report(params, pq, sweeps, rng, cfg)]
+
+    def records():
+        yield _constants_report(params, pq)
+        yield _chain_report(params)
+        yield _energy_sweep_report(params, pq, sweeps, rng, cfg)
+        yield _inequality_sweep_report(params, pq, sweeps, rng, cfg)
+
+    return records()

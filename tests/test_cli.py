@@ -152,6 +152,49 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_config_null_means_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m1": None}))
+    assert run(["domain", "--config", str(cfg)]) == 0
+    assert "params m1 1 m2 4 anchor -0.5" in lines_of(capsys)
+
+
+def test_config_lam_list_is_replaced_by_flags(tmp_path):
+    cfg, rep = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"lam": [0.5]}))
+    assert run(["scaling", "--m1", "1", "--m2", "0", "--config", str(cfg),
+                "--lam", "2", "--report", str(rep)]) == 0
+    assert {r["sides"]["lam"] for r in written(rep)} == {2.0}
+
+
+@pytest.mark.parametrize("flags, panels", [([], 16), (["--panels", "8"], 8)],
+                         ids=["config", "flag-wins"])
+def test_config_quad_value_reaches_the_report(tmp_path, flags, panels):
+    cfg, rep = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"panels": 16}))
+    assert run(["verify", "step3", "--variant", "omega4", "--m2", "0",
+                "--y0", "-0.5", "--config", str(cfg), "--report", str(rep)]
+               + flags) == 0
+    (only,) = written(rep)
+    assert only["quad"]["panels_per_axis"] == panels
+
+
+def test_hardy_takes_no_p_or_q(capsys):
+    # HardyParams(p, q) with p, q != 2 has no inequality check to report
+    with pytest.raises(SystemExit) as ei:
+        run(["hardy", "--m1", "1", "--m2", "4", "--p", "3"])
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["exponent", "domain", "flow", "verify",
+                                     "scaling", "hardy", "suite"])
+def test_help_lists_defaults(capsys, command):
+    with pytest.raises(SystemExit) as ei:
+        run([command, "--help"])
+    assert ei.value.code == 0
+    assert "(default: " in capsys.readouterr().out
+
+
 def test_domain_outputs(tmp_path, capsys):
     csv = tmp_path / "b.csv"
     svg = tmp_path / "b.svg"
@@ -321,6 +364,34 @@ def test_overflow_is_a_config_error(capsys, argv):
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert err.startswith("error: numeric overflow: ") and out == ""
+
+
+@pytest.mark.parametrize("argv, kept", [
+    (["hardy", "--m1", "1", "--m2", "4", "--panels", "2", "--gauss-order", "2",
+      "--rel-tol", "1e-14", "--abs-tol", "1e-14"],
+     [("hardy-constants", None), ("hardy-chain", None)]),
+    (["scaling", "--m1", "1", "--m2", "4", "--lam", "0.5", "--lam", "1e200"],
+     [("scaling-lp", 0.5), ("scaling-grad", 0.5)]),
+], ids=["hardy-nonconvergence", "scaling-overflow"])
+def test_error_report_keeps_finished_records(tmp_path, argv, kept):
+    rep = tmp_path / "r.json"
+    assert run(argv + ["--report", str(rep)]) == 2
+    doc = json.loads(rep.read_text())
+    assert doc["pass"] is False and doc["error"]
+    assert [(r["identity"], r["sides"].get("lam")) for r in doc["reports"]] == kept
+
+
+def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def step1(*args):
+        raise MemoryError("Unable to allocate 7.45 PiB for an array")
+    monkeypatch.setattr(ident, "step1_residual", step1)
+    rep = tmp_path / "r.json"
+    assert run(["verify", "step1", "--report", str(rep)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: out of memory: Unable to allocate 7.45 PiB for an array\n"
+    assert out == ""
+    doc = json.loads(rep.read_text())
+    assert doc["error"].startswith("MemoryError: ") and doc["pass"] is False
 
 
 def test_suite_skips_inadmissible_and_passes(tmp_path, capsys):
