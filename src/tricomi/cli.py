@@ -3,13 +3,15 @@ with the same keys; flags win) to the verification suites and writes
 deterministic machine-readable reports.
 
 Exit codes: 0 all requested checks passed, 1 a check failed its bound,
-2 configuration or hypothesis errors.  A report file is written whenever
+2 configuration or hypothesis errors, 141 stdout closed early by its reader
+(128 + SIGPIPE, as a shell reports it).  A report file is written whenever
 computation started, even if it then failed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -25,6 +27,11 @@ from .quad import QuadConfig
 
 # the scaling command's dilations and L^p power; the suite runs them too
 _SCALING_LAMS, _SCALING_P = (0.5, 2.0), 4.0
+
+# verify --nonlinearity: its choices and what each builds
+_NONLINEARITIES = {"cubic": lambda args: cubic_nonlinearity(),
+                   "power": lambda args: power_nonlinearity(args.alpha),
+                   "linear": lambda args: linear_nonlinearity()}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -101,7 +108,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                                      "sigma-sign"])
     p.add_argument("--field", help="prefix expression, e.g. '(* x y)'; unset "
                                    "means the manufactured field of the domain")
-    p.add_argument("--nonlinearity", choices=["cubic", "power", "linear"],
+    p.add_argument("--nonlinearity", choices=list(_NONLINEARITIES),
                    default="cubic", help="nonlinearity of step2 and pohozaev")
     p.add_argument("--alpha", type=float, default=3.0,
                    help="exponent for --nonlinearity power")
@@ -131,11 +138,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return ap, sub.choices
 
 
+def _check_config_value(action: argparse.Action, v):
+    """Refuse a config value its flag could not give.  A scalar flag takes
+    a string, converted like the flag's text, or a number of its type; the
+    exact type test keeps JSON booleans out of the numbers."""
+    if action.choices is not None:
+        ok, want = v in action.choices, "one of " + ", ".join(action.choices)
+    elif action.nargs == 0:
+        ok, want = isinstance(v, bool), "true or false"
+    elif isinstance(action, argparse._AppendAction):
+        ok = isinstance(v, list) and all(type(a) in (int, float) for a in v)
+        want = "a list of numbers"
+    else:
+        types, want = {int: ((int,), "an integer"), float: ((int, float), "a number")
+                       }.get(action.type, ((), "a string"))
+        ok = isinstance(v, str) or type(v) in types
+    if not ok:
+        raise ValueError(f"config key {action.dest!r} must be {want}, not {json.dumps(v)}")
+
+
 def _parse(argv) -> argparse.Namespace:
-    """Parse argv; with --config, parse it again with the file's values as
-    the subcommand's defaults, so flags win.  A null value leaves the
-    default, and a key whose flag was given is left out, so a repeated
-    --lam replaces a config list instead of extending it."""
+    """Parse argv; with --config, check each of the file's values against
+    its flag and parse again with them as the subcommand's defaults, so
+    flags win.  A null value leaves the default, and a key whose flag was
+    given is left out, so a repeated --lam replaces a config list."""
     ap, commands = _build_parser()
     args = ap.parse_args(argv)
     if not args.config:
@@ -148,6 +174,9 @@ def _parse(argv) -> argparse.Namespace:
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     sub = commands[args.command]
+    for action in sub._actions:
+        if loaded.get(action.dest) is not None:
+            _check_config_value(action, loaded[action.dest])
     sub.set_defaults(**{k: v for k, v in loaded.items()
                         if v is not None and getattr(args, k) == sub.get_default(k)})
     return ap.parse_args(argv)
@@ -183,14 +212,6 @@ def _make_domain(args) -> DomainSpec:
     anchor = getattr(args, axis)
     return DomainSpec(Variant(args.variant), OperatorParams(args.m1, args.m2),
                       -0.5 if anchor is None else anchor)
-
-
-def _make_nonlin(args):
-    if args.nonlinearity == "cubic":
-        return cubic_nonlinearity()
-    if args.nonlinearity == "power":
-        return power_nonlinearity(args.alpha)
-    return linear_nonlinearity()
 
 
 _DEFAULT_BUMP = (Const(1.0) - X ** 2) * (Const(1.0) - Y ** 2) \
@@ -304,11 +325,12 @@ def _cmd_verify(args) -> int:
     qcfg = _quad_config(args)
     u = parse_field(args.field) if args.field is not None \
         else manufactured(dom, vanish_on=VANISH_AC_SIGMA)
+    nonlin = partial(_NONLINEARITIES[args.nonlinearity], args)
     checks = {
         "step1": lambda: ident.step1_residual(u, dom, qcfg),
-        "step2": lambda: ident.step2_residual(u, _make_nonlin(args), dom, qcfg),
+        "step2": lambda: ident.step2_residual(u, nonlin(), dom, qcfg),
         "step3": lambda: ident.step3_residual(u, dom, qcfg),
-        "pohozaev": lambda: ident.pohozaev_residual(u, _make_nonlin(args), dom, qcfg),
+        "pohozaev": lambda: ident.pohozaev_residual(u, nonlin(), dom, qcfg),
         "sigma-sign": lambda: ident.sigma_sign_report(u, dom, qcfg),
     }
     return _run_checks(args, lambda reports: reports.append(checks[args.which]()))
@@ -318,6 +340,8 @@ def _cmd_scaling(args) -> int:
     _require(args, "m1", "m2")
     qcfg = _quad_config(args)
     lams = _SCALING_LAMS if args.lam is None else args.lam
+    if not lams:   # a config file's [] would pass with no check run
+        raise ValueError("--lam needs at least one value")
     u = parse_field(args.field) if args.field is not None else _DEFAULT_BUMP
 
     def compute(reports):
@@ -425,14 +449,24 @@ def run(argv=None) -> int:
         # so is a grid or sweep too large to allocate
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise   # a reader that closed stdout early is main's to handle
     except (TricomiError, ValueError, OSError) as e:  # JSONDecodeError too
         print(f"error: {e}", file=sys.stderr)
         return 2
 
 
 def main() -> int:
-    return run()
+    """run() as a console script.  If stdout's reader has gone: exit 141, no
+    error line, and stdout on os.devnull so shutdown does not raise again."""
+    try:
+        code = run()
+        sys.stdout.flush()   # so a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:   # as in the note on SIGPIPE in the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from dataclasses import field as _default
@@ -151,80 +151,42 @@ def reference_domains() -> list[DomainSpec]:
 
 
 # ---------------------------------------------------------------------------
-# the jet store: jets and operator weights on quadrature levels
-
-# Room for one domain's two suite fields and their operator weights at the
-# default panels (a default domain grid pair has 0.66 M nodes: 30 MiB per
-# field jet, 10 MiB of weights), plus its curve jets.  This cap, not an
-# entry count, bounds what the store pins.
-_STORE_BYTES = 96 << 20
+# jets and operator weights on quadrature levels
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
-class _JetStore:
-    """Byte-capped LRU of arrays computed on quadrature levels: field jets
-    keyed by (level, field) and operator weights keyed by (level, params).
-    Every caller shares a stored array, so each is made read-only.  An
-    entry larger than the whole cap is not kept."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, value):
-        arrays = list(vars(value).values()) if isinstance(value, Jet2) else value
-        for a in arrays:
+def _kept(level, key, make):
+    """level.memo[key], made by make() where missing.  Every caller shares
+    a kept array, so each is made read-only."""
+    value = level.memo.get(key)
+    if value is None:
+        value = level.memo[key] = make()
+        for a in vars(value).values() if isinstance(value, Jet2) else value:
             a.flags.writeable = False
-        size = sum({id(a): a.nbytes for a in arrays}.values())
-        self._entries[key] = (value, size)
-        self.nbytes += size
-        while self.nbytes > self.cap:
-            _, (_, gone) = self._entries.popitem(last=False)
-            self.nbytes -= gone
-        return value
-
-
-_STORE = _JetStore(_STORE_BYTES)
+    return value
 
 
 class _LevelJets:
-    """(grid, jet of u, operator weights) on each level of a grid pair, from
-    the store where present and stored otherwise.  A new jet reuses the
-    stored jet of every subtree already evaluated on the same level.
-    cache_info() counts the calls that found every jet stored."""
+    """(grid, jet of u, operator weights) on each level of a grid pair, kept
+    in the level's memo so they live as long as the level; a new jet reuses
+    the kept jet of every subtree on the same level.  cache_info() counts
+    the calls that found every jet kept."""
 
     def __init__(self, grids):
         self._grids = grids
         self.hits = self.misses = 0
 
     def __call__(self, u: ScalarField, domain: DomainSpec, *where):
-        levels, found = [], True
-        for i, g in enumerate(self._grids(domain, *where)):
-            site = (self, domain, *where, i)
-            j = _STORE.get((site, u))
-            if j is None:
-                found = False
-                j = _STORE.put((site, u), u.jet(
-                    g.x, g.y, known=lambda node: _STORE.get((site, node))))
-            w = _STORE.get((site, domain.params))
-            if w is None:
-                w = _STORE.put((site, domain.params),
-                               operator_weights(domain.params, g.x, g.y))
-            levels.append((g, j, w))
-        if found:
+        grids = self._grids(domain, *where)
+        if all(u in g.memo for g in grids):
             self.hits += 1
         else:
             self.misses += 1
-        return tuple(levels)
+        return tuple((g, _kept(g, u, lambda: u.jet(g.x, g.y, known=g.memo.get)),
+                      _kept(g, domain.params,
+                            lambda: operator_weights(domain.params, g.x, g.y)))
+                     for g in grids)
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self.hits, self.misses)

@@ -12,7 +12,7 @@ outward flux of a vector field (Fx, Fy) is the form (-Fy, Fx).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -151,6 +151,7 @@ class GridLevel:
     x: np.ndarray
     y: np.ndarray
     w: np.ndarray
+    memo: dict = field(default_factory=dict, repr=False)  # jets, weights on x, y
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +160,7 @@ class CurveGridLevel:
     y: np.ndarray
     wx: np.ndarray  # weight times dx/dtau (oriented)
     wy: np.ndarray  # weight times dy/dtau
+    memo: dict = field(default_factory=dict, repr=False)  # jets, weights on x, y
 
 
 def _tensor_level(maps, order: int, panels: int) -> GridLevel:
@@ -190,9 +192,10 @@ def _curve_level(charts, order: int, panels: int) -> CurveGridLevel:
 
 
 # A domain is anything with area_charts() and boundary_charts(graded):
-# a DomainSpec, or a test region.
+# a DomainSpec, or a test region.  Commands work on one domain at a time,
+# so one grid pair is kept; its levels and their memos go with the next one.
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def domain_grids(domain, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
     """(fine, coarse) tensor grids covering the domain, weights included."""
     maps = [chart.fn for chart in domain.area_charts()]

@@ -1,9 +1,15 @@
-"""Command-line front end, exercised in process through cli.run."""
+"""Command-line front end, exercised in process through cli.run, and once
+as a child process through cli.main."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tricomi
 from tricomi import identities as ident
 from tricomi.cli import run
 from tricomi.field import VANISH_AC_SIGMA, manufactured, parse_field
@@ -177,6 +183,55 @@ def test_config_quad_value_reaches_the_report(tmp_path, flags, panels):
                + flags) == 0
     (only,) = written(rep)
     assert only["quad"]["panels_per_axis"] == panels
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "step2"], {"nonlinearity": "cubc"}),
+    (["verify", "step1"], {"no_grading": "false"}),
+    (["verify", "step1"], {"timing": "yes"}),
+    (["verify", "step1"], {"panels": True}),
+    (["verify", "step1"], {"x0": [1]}),
+    (["scaling", "--m1", "1", "--m2", "4"], {"lam": 0.5}),
+    (["scaling", "--m1", "1", "--m2", "4"], {"lam": ["0.5"]}),
+], ids=["choice", "switch-string", "switch-word", "int-bool", "float-list",
+        "lam-scalar", "lam-strings"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config):
+    cfg, rep = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps(config))
+    assert run(argv + ["--config", str(cfg), "--report", str(rep)]) == 2
+    out, err = capsys.readouterr()
+    (key,) = config
+    assert err.startswith(f"error: config key {key!r} must be ") and out == ""
+    assert not rep.exists()    # refused before any computation
+
+
+def test_config_empty_lam_list_is_refused(tmp_path, capsys):
+    # an empty list would run no check and report a pass
+    cfg, rep = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"lam": []}))
+    assert run(["scaling", "--m1", "1", "--m2", "4", "--config", str(cfg),
+                "--report", str(rep)]) == 2
+    assert capsys.readouterr().err == "error: --lam needs at least one value\n"
+    assert not rep.exists()
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    # what `tricomi flow ... | head -n 1` does to the console script.  The
+    # child's stdout is buffered, as by default: an unbuffered text stdout
+    # drops the rest of a partial write to a closed pipe without an error
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(tricomi.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from tricomi.cli import main; sys.exit(main())",
+         "flow", "--m1", "1", "--m2", "4", "--x", "0.5", "--y", "0.5",
+         "--steps", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    assert proc.stdout.readline() == b"t,x,y\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141 and err == b""
 
 
 def test_hardy_takes_no_p_or_q(capsys):

@@ -3,6 +3,7 @@ one-dimensional Hardy package, each checked against a route the module under
 test does not use."""
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -343,15 +344,9 @@ def test_identities_honor_quad_config():
 
 
 # ---------------------------------------------------------------------------
-# the jet store: each jet, weight and self-test computed once per level
+# level memos: each jet, weight and self-test computed once per level
 
 SMALL = QuadConfig(panels_per_axis=8)
-
-
-def _fresh_store(monkeypatch, cap=identities._STORE_BYTES):
-    store = identities._JetStore(cap)
-    monkeypatch.setattr(identities, "_STORE", store)
-    return store
 
 
 def _same_jet(a, b):
@@ -360,23 +355,34 @@ def _same_jet(a, b):
 
 
 def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
-    store = _fresh_store(monkeypatch)
-    found, get = [], store.get
+    memos, found = [], []
+    jet = ScalarField.jet
 
-    def spy(key):
-        j = get(key)
-        if j is not None:
-            found.append(key[-1])
-        return j
+    def spy(self, x, y, known=None):
+        if known is None:
+            return jet(self, x, y)
+        memo = known.__self__          # known is a level memo's get
 
-    monkeypatch.setattr(store, "get", spy)
+        def look(node):
+            j = memo.get(node)
+            if j is not None:
+                found.append(node)
+            return j
+
+        memos.append(memo)
+        return jet(self, x, y, look)
+
+    monkeypatch.setattr(ScalarField, "jet", spy)
     for dom in reference_domains():
         base = manufactured(dom)
         second = base * (Const(1.0) + X / 2 - Y / 3)
+        quad.domain_grids.cache_clear()    # cold levels, nothing kept yet
         identities._area_jets(base, dom, SMALL)
+        memos.clear()
         found.clear()
         levels = identities._area_jets(second, dom, SMALL)
-        assert base in found       # the base field's stored jet was reused
+        assert base in found       # the base field's kept jet was reused
+        assert memos == [g.memo for g, _, _ in levels]
         for g, j, _ in levels:
             assert _same_jet(j, second.jet(g.x, g.y))
 
@@ -416,31 +422,23 @@ def test_scaling_ratios_evaluates_one_jet_per_field_and_box_level(monkeypatch):
     assert got[1]["lp_ratio"] == 2.0 ** co.kappa
 
 
-def test_jet_store_keeps_to_its_byte_cap(monkeypatch):
+def test_jets_are_released_with_their_domain():
     dom = omega1(1, 4, -0.5)
-    fine, coarse = quad.domain_grids(dom, SMALL)
-    per_field = 48 * (fine.x.size + coarse.x.size)
-    store = _fresh_store(monkeypatch, cap=int(2.5 * per_field))
-    fields = [manufactured(dom) * (Const(1.0) + k * X) for k in range(4)]
-    first = [(j.u.copy(), j.uyy.copy())
-             for _, j, _ in identities._area_jets(fields[0], dom, SMALL)]
-    for u in fields[1:]:
-        identities._area_jets(u, dom, SMALL)
-        assert 0 < store.nbytes <= store.cap
+    levels = identities._area_jets(manufactured(dom), dom, SMALL)
+    kept, first = weakref.ref(levels[0][1].u), levels[0][1].u.copy()
+    del levels
+    assert kept() is not None      # still on the cached level
+    other = omega4(1, 0, -0.5)
+    identities._area_jets(manufactured(other), other, SMALL)
+    assert kept() is None          # the walk leaves no cycle: no gc needed
+    # asked again, the released jet is a miss and comes back the same
     misses = identities._area_jets.cache_info().misses
-    again = identities._area_jets(fields[0], dom, SMALL)
-    assert identities._area_jets.cache_info().misses == misses + 1  # evicted
-    for (u0, uyy0), (_, j, _) in zip(first, again):
-        assert np.array_equal(u0, j.u) and np.array_equal(uyy0, j.uyy)
-    assert store.nbytes <= store.cap
-    # an entry larger than the whole cap is not kept
-    tiny = identities._JetStore(64)
-    tiny.put("big", (np.zeros(16),))
-    assert tiny.nbytes == 0 and tiny.get("big") is None
+    again = identities._area_jets(manufactured(dom), dom, SMALL)
+    assert identities._area_jets.cache_info().misses == misses + 1
+    assert np.array_equal(again[0][1].u, first)
 
 
-def test_stored_jets_and_weights_are_read_only(monkeypatch):
-    _fresh_store(monkeypatch)
+def test_stored_jets_and_weights_are_read_only():
     dom = omega4(1, 0, -0.5)
     (_, j, (ym1, xm2)), _ = identities._area_jets(manufactured(dom), dom, SMALL)
     for arr in (j.u, j.uxx, ym1, xm2):
