@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import partial
 
 from . import identities as ident
-from .errors import TricomiError
+from .errors import NonConvergence, TricomiError
 from .field import Const, X, Y, manufactured, parse_field, VANISH_AC_SIGMA
 from .geometry import (DomainSpec, Point, Variant, boundary_csv, boundary_svg,
                        check_starshaped, endpoints, flow)
-from .params import (OperatorParams, coefficients, critical_exponent,
-                     cubic_nonlinearity, linear_nonlinearity,
+from .params import (OperatorParams, admissibility_rule, coefficients,
+                     critical_exponent, cubic_nonlinearity, linear_nonlinearity,
                      power_nonlinearity, supercritical_threshold)
 from .quad import QuadConfig
 
@@ -62,8 +63,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     help="Gauss points per panel")
     ck.add_argument("--panels", type=int, default=q.panels_per_axis,
                     help="fine-level panels per axis")
-    ck.add_argument("--no-grading", action="store_true",
-                    help="uniform instead of graded panels")
     ck.add_argument("--abs-tol", type=float, default=q.abs_tol,
                     help="two-level absolute tolerance")
     ck.add_argument("--rel-tol", type=float, default=q.rel_tol,
@@ -183,8 +182,7 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _quad_config(args) -> QuadConfig:
-    return QuadConfig(args.gauss_order, args.panels, not args.no_grading,
-                      args.abs_tol, args.rel_tol)
+    return QuadConfig(args.gauss_order, args.panels, args.abs_tol, args.rel_tol)
 
 
 def _count(args, key: str) -> int:
@@ -253,8 +251,14 @@ def _run_checks(args, compute, show=None, extra: dict | None = None,
     try:
         compute(reports)
     except BaseException as e:
-        _write_report_file(args.report, reports, args.timing,
-                           {"error": f"{type(e).__name__}: {e}"})
+        error = {"error": f"{type(e).__name__}: {e}"}
+        if isinstance(e, NonConvergence) and e.what is not None:
+            # a non-finite value as its repr, so the file stays strict JSON
+            fine, coarse = (v if math.isfinite(v) else repr(v)
+                            for v in (e.fine, e.coarse))
+            error["error_fields"] = {"what": e.what, "fine": fine, "coarse": coarse,
+                                     "panels": list(e.panels)}
+        _write_report_file(args.report, reports, args.timing, error)
         raise
     if show is not None:
         show(reports)
@@ -315,8 +319,16 @@ def _cmd_flow(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"csv {args.csv}")
-    else:
+    elif not hasattr(sys.stdout, "buffer"):   # a text-only stream, as StringIO
         sys.stdout.write(text)
+    else:
+        # under python -u the text layer drops the rest of a short write to
+        # a pipe whose reader has gone; writing the bytes until all are
+        # written raises BrokenPipeError instead
+        sys.stdout.flush()
+        data = memoryview(text.encode())
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
     return 0
 
 
@@ -395,7 +407,8 @@ def _cmd_suite(args) -> int:
     if not domains:
         raise ValueError(
             f"no domain variant admits (m1, m2) = ({params.m1}, {params.m2}); "
-            "each variant needs m1 odd, and omega1 needs m2 divisible by 4")
+            + ", ".join(f"{v.value} needs {admissibility_rule(v.value)}"
+                        for v in Variant))
 
     def compute(reports):
         for dom in domains:

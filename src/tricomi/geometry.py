@@ -217,8 +217,8 @@ class DomainSpec:
     def area_charts(self) -> list[AreaChart]:
         return area_charts(self)
 
-    def boundary_charts(self, graded: bool = True) -> list[CurveChart]:
-        return boundary_charts(self, graded)
+    def boundary_charts(self) -> list[CurveChart]:
+        return boundary_charts(self)
 
 
 def omega1(m1: int, m2: int, x0: float, arc=None) -> DomainSpec:
@@ -480,23 +480,17 @@ def char_ode_residual(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> f
 
 
 # ---------------------------------------------------------------------------
-# charts for quadrature (positively oriented, optionally graded)
+# charts for quadrature (positively oriented, graded)
 
-def boundary_charts(domain: DomainSpec, graded: bool = True) -> list[CurveChart]:
-    """Positively oriented charts for the three boundary pieces.  Graded
-    charts run the characteristics in w, which substitutes away the
-    half-integer powers so smooth integrands stay smooth in the chart
+def boundary_charts(domain: DomainSpec) -> list[CurveChart]:
+    """Positively oriented charts for the three boundary pieces.  The
+    characteristics run in the graded parameter w, which substitutes away
+    the half-integer powers so smooth integrands stay smooth in the chart
     parameter; AC'' of omega3/omega4 is smooth in x and keeps it."""
-    charts = []
-    for curve in BoundaryCurveId:
-        keeps_x = curve is BoundaryCurveId.AC and domain.variant in (Variant.OMEGA3,
-                                                                      Variant.OMEGA4)
-        if graded and curve is not BoundaryCurveId.SIGMA and not keeps_x:
-            piece = _characteristics(domain).pieces[curve]
-        else:
-            piece = _natural(domain, curve)
-        charts.append(piece.chart(curve))
-    return charts
+    pieces = {**_characteristics(domain).pieces, BoundaryCurveId.SIGMA: _sigma(domain)}
+    if domain.variant in (Variant.OMEGA3, Variant.OMEGA4):
+        pieces[BoundaryCurveId.AC] = _natural(domain, BoundaryCurveId.AC)
+    return [pieces[c].chart(c) for c in BoundaryCurveId]
 
 
 def area_charts(domain: DomainSpec) -> list[AreaChart]:
@@ -631,7 +625,7 @@ def check_starshaped(domain: DomainSpec, n_samples: int = 256,
     co = coefficients(domain.params)
     worst = math.inf
     worst_pt = domain.apex
-    charts = boundary_charts(domain, graded=True)
+    charts = boundary_charts(domain)
     for chart in charts:
         tau = chart.lo + (chart.hi - chart.lo) * (np.arange(n_samples) + 0.5) / n_samples
         x, y, dx, dy = chart.fn(tau)

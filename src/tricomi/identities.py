@@ -228,23 +228,22 @@ def selftest_report(domain: DomainSpec,
 
 
 @lru_cache(maxsize=32)
-def _boundary_maxima(u, domain, graded: bool) -> tuple:
+def _boundary_maxima(u, domain) -> tuple:
     """(curve id, max |u| over 100 samples) for each boundary piece, in
     chart order; every identity on the same (u, domain) asks for these."""
-    charts = {c.curve: c for c in boundary_charts(domain, graded)}
     maxima = []
-    for cid, chart in charts.items():
+    for chart in boundary_charts(domain):
         tau = chart.lo + (chart.hi - chart.lo) * (np.arange(100) + 0.5) / 100.0
         x, y, _, _ = chart.fn(tau)
         v = np.asarray(u(np.asarray(x, float), np.asarray(y, float)), float)
-        maxima.append((cid, float(np.max(np.abs(v)))))
+        maxima.append((chart.curve, float(np.max(np.abs(v)))))
     return tuple(maxima)
 
 
-def _require_vanishing(u, domain, curve_ids, cfg, what: str):
+def _require_vanishing(u, domain, curve_ids, what: str):
     # tolerance is relative to the field size on the whole boundary so an
     # honestly nonzero field always trips it
-    vals = dict(_boundary_maxima(u, domain, cfg.grade_endpoints))
+    vals = dict(_boundary_maxima(u, domain))
     scale = max([1.0, *vals.values()])
     for cid in curve_ids:
         if vals[cid] > 1e-10 * scale:
@@ -269,7 +268,7 @@ def _gate(u, domain, cfg, what, curves=_AC_SIGMA, nonlin=None):
             "charts, weights or orientation are unsound at this resolution")
     if nonlin is not None and abs(float(nonlin.F(0.0))) > 1e-14:
         raise PreconditionViolated(f"nonlinearity {nonlin.name!r} needs F(0) = 0")
-    _require_vanishing(u, domain, curves, cfg, what)
+    _require_vanishing(u, domain, curves, what)
     return domain.params, coefficients(domain.params)
 
 

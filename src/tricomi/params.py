@@ -90,31 +90,28 @@ def supercritical_threshold(params: OperatorParams) -> Fraction:
     return Fraction(params.m1 + params.m2 - params.m1 * params.m2 + 8, mu)
 
 
-# Strictest published parity hypothesis per domain variant.  Variant names are
-# the geometry module's strings; kept here so parity logic has a single home.
-_PARITY_RULES = {
-    "omega1": "m1 odd and m2 divisible by 4",
-    "omega2": "m1 odd and m2 even",
-    "omega3": "m1 odd and m2 even",
-    "omega4": "m1 odd and m2 even",
-}
+# Strictest published parity hypothesis per domain variant: m1 odd, and m2
+# divisible by the variant's modulus here.  Variant names are the geometry
+# module's strings; kept here so parity logic has a single home.
+_M2_MODULUS = {"omega1": 4, "omega2": 2, "omega3": 2, "omega4": 2}
 
 
-def admissibility_rule(variant: str) -> str:
-    """The parity hypothesis enforced for a variant, as a readable rule string."""
+def _m2_modulus(variant: str) -> int:
     try:
-        return _PARITY_RULES[variant]
+        return _M2_MODULUS[variant]
     except KeyError:
         raise ValueError(f"unknown domain variant {variant!r}") from None
 
 
+def admissibility_rule(variant: str) -> str:
+    """The parity hypothesis enforced for a variant, as a readable rule string."""
+    k = _m2_modulus(variant)
+    return "m1 odd and m2 " + ("even" if k == 2 else f"divisible by {k}")
+
+
 def is_admissible(params: OperatorParams, variant: str) -> bool:
-    rule = admissibility_rule(variant)
-    if params.m1 % 2 != 1:
-        return False
-    if variant == "omega1":
-        return params.m2 % 4 == 0
-    return params.m2 % 2 == 0
+    k = _m2_modulus(variant)
+    return params.m1 % 2 == 1 and params.m2 % k == 0
 
 
 def require_admissible(params: OperatorParams, variant: str) -> None:

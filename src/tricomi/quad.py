@@ -43,7 +43,6 @@ __all__ = [
 class QuadConfig:
     gauss_order: int = 16
     panels_per_axis: int = 32
-    grade_endpoints: bool = True
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
 
@@ -126,16 +125,11 @@ def integrate_interval(f, lo: float, hi: float, cfg: QuadConfig) -> float:
     return check_two_level(fine, coarse, cfg, "interval integral")
 
 
-def integrate_neg_interval(f, y_lo: float, cfg: QuadConfig,
-                           graded: bool | None = None) -> float:
-    """Integral of f over [y_lo, 0] for y_lo < 0.  When graded, substitute
+def integrate_neg_interval(f, y_lo: float, cfg: QuadConfig) -> float:
+    """Integral of f over [y_lo, 0] for y_lo < 0, in the graded variable
     t = -s^2 so integrands with half-integer behavior at 0 become smooth."""
     if not y_lo < 0:
         raise ValueError("need y_lo < 0")
-    if graded is None:
-        graded = cfg.grade_endpoints
-    if not graded:
-        return integrate_interval(f, y_lo, 0.0, cfg)
 
     def g(s):
         return 2.0 * s * np.asarray(f(-(s * s)), dtype=float)
@@ -191,7 +185,7 @@ def _curve_level(charts, order: int, panels: int) -> CurveGridLevel:
                           np.concatenate(wxs), np.concatenate(wys))
 
 
-# A domain is anything with area_charts() and boundary_charts(graded):
+# A domain is anything with area_charts() and boundary_charts():
 # a DomainSpec, or a test region.  Commands work on one domain at a time,
 # so one grid pair is kept; its levels and their memos go with the next one.
 
@@ -221,7 +215,7 @@ def curve_grids(domain, curve_id: BoundaryCurveId | None,
                 cfg: QuadConfig) -> tuple[CurveGridLevel, CurveGridLevel]:
     """(fine, coarse) nodes on one boundary piece, or on the whole positively
     oriented loop when curve_id is None."""
-    charts = [c for c in domain.boundary_charts(cfg.grade_endpoints)
+    charts = [c for c in domain.boundary_charts()
               if curve_id is None or c.curve is curve_id]
     if not charts:
         raise ValueError(f"domain has no boundary piece {curve_id}")

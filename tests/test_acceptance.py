@@ -61,10 +61,12 @@ def matrix():
             yield lambda cfg, nl=nl: pohozaev_residual(u, nl, dom, cfg=cfg)
 
     for dom in reference_domains():
-        for u in matrix_fields(dom):
-            for cell in cells(dom, u):
-                default.append(cell(QuadConfig()))
-                reduction.append((cell(cfg4), cell(cfg8)))
+        # config by config: the grids of one (domain, config) pair are kept,
+        # so each is built once per domain
+        dom_cells = [cell for u in matrix_fields(dom) for cell in cells(dom, u)]
+        default += [cell(QuadConfig()) for cell in dom_cells]
+        at4, at8 = ([cell(cfg) for cell in dom_cells] for cfg in (cfg4, cfg8))
+        reduction += zip(at4, at8)
     return default, reduction, time.perf_counter() - t0
 
 

@@ -15,6 +15,7 @@ from tricomi.cli import run
 from tricomi.field import VANISH_AC_SIGMA, manufactured, parse_field
 from tricomi.geometry import omega1, omega2, omega3, omega4
 from tricomi.params import OperatorParams
+from tricomi.quad import QuadConfig, check_two_level
 
 
 @pytest.fixture(autouse=True)
@@ -158,6 +159,17 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_quadrature_has_no_grading_switch(tmp_path, capsys):
+    # the boundary charts are always graded: neither a flag nor a key
+    with pytest.raises(SystemExit) as ei:
+        run(["verify", "step1", "--no-grading"])
+    assert ei.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_grading": False}))
+    assert run(["verify", "step1", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.endswith("error: unknown config keys: no_grading\n")
+
+
 def test_config_null_means_unset(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m1": None}))
@@ -187,7 +199,7 @@ def test_config_quad_value_reaches_the_report(tmp_path, flags, panels):
 
 @pytest.mark.parametrize("argv, config", [
     (["verify", "step2"], {"nonlinearity": "cubc"}),
-    (["verify", "step1"], {"no_grading": "false"}),
+    (["verify", "step1"], {"timing": "false"}),
     (["verify", "step1"], {"timing": "yes"}),
     (["verify", "step1"], {"panels": True}),
     (["verify", "step1"], {"x0": [1]}),
@@ -215,11 +227,14 @@ def test_config_empty_lam_list_is_refused(tmp_path, capsys):
     assert not rep.exists()
 
 
-def test_closed_stdout_pipe_exits_141_quietly():
-    # what `tricomi flow ... | head -n 1` does to the console script.  The
-    # child's stdout is buffered, as by default: an unbuffered text stdout
-    # drops the rest of a partial write to a closed pipe without an error
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_141_quietly(unbuffered):
+    # what `tricomi flow ... | head -n 1` does to the console script, with
+    # stdout buffered and with it unbuffered (python -u), where the text
+    # layer would drop the rest of a partial write to the closed pipe
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     env["PYTHONPATH"] = str(Path(tricomi.__file__).resolve().parents[1])
     proc = subprocess.Popen(
         [sys.executable, "-c",
@@ -447,6 +462,42 @@ def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert out == ""
     doc = json.loads(rep.read_text())
     assert doc["error"].startswith("MemoryError: ") and doc["pass"] is False
+
+
+def test_nonconvergence_report_keeps_its_fields(tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["verify", "step2", "--variant", "omega1", "--m1", "3",
+                "--m2", "12", "--x0", "-1", "--report", str(rep)]) == 2
+    doc = json.loads(rep.read_text())
+    assert doc["error"].startswith("NonConvergence: curve functional on BC ")
+    assert doc["error_fields"] == {"what": "curve functional on BC", "fine": 0.0,
+                                   "coarse": -0.00048828125, "panels": [32, 16]}
+
+
+def test_nonfinite_nonconvergence_fields_stay_strict_json(tmp_path, monkeypatch):
+    def step1(*args):
+        check_two_level(math.nan, -math.inf, QuadConfig(), "area functional")
+    monkeypatch.setattr(ident, "step1_residual", step1)
+    rep = tmp_path / "r.json"
+    assert run(["verify", "step1", "--report", str(rep)]) == 2
+
+    def refuse(name):
+        raise AssertionError(f"{name} in a report file")
+    doc = json.loads(rep.read_text(), parse_constant=refuse)
+    assert doc["error_fields"] == {"what": "area functional", "fine": "nan",
+                                   "coarse": "-inf", "panels": [32, 16]}
+
+
+def test_suite_with_no_admissible_variant_names_each_rule(tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    assert run(["suite", "--m1", "1", "--m2", "3", "--report", str(rep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: no domain variant admits (m1, m2) = (1, 3); "
+        "omega1 needs m1 odd and m2 divisible by 4, omega2 needs m1 odd and "
+        "m2 even, omega3 needs m1 odd and m2 even, omega4 needs m1 odd and "
+        "m2 even\n")
+    assert not rep.exists()
 
 
 def test_suite_skips_inadmissible_and_passes(tmp_path, capsys):

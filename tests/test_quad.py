@@ -27,7 +27,7 @@ class UnitSquare:
 
         return [AreaChart("square", fn)]
 
-    def boundary_charts(self, graded=True):
+    def boundary_charts(self):
         def edge(p0, p1):
             (x0, y0), (x1, y1) = p0, p1
 
@@ -48,7 +48,7 @@ class UnitSquare:
 def test_quad_config_validation():
     cfg = QuadConfig()
     assert cfg.gauss_order == 16 and cfg.panels_per_axis == 32
-    assert cfg.grade_endpoints and cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-9
+    assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-9
     assert cfg.levels == (32, 16)
     assert QuadConfig(panels_per_axis=1).levels == (1, 1)
     with pytest.raises(ValueError):
@@ -127,9 +127,9 @@ def test_neg_interval_graded_handles_half_powers():
     assert got == pytest.approx(2.0, abs=1e-13)
     with pytest.raises(ValueError):
         integrate_neg_interval(lambda t: t, 1.0, cfg)
-    # ungraded composite Gauss cannot settle on the singular integrand
+    # uniform composite Gauss on [-1, 0] cannot settle on the singular integrand
     with pytest.raises(NonConvergence):
-        integrate_neg_interval(lambda t: (-t) ** -0.5, -1.0, cfg, graded=False)
+        integrate_interval(lambda t: (-t) ** -0.5, -1.0, 0.0, cfg)
 
 
 def test_unit_square():
@@ -191,7 +191,7 @@ def test_closed_loop_of_exact_differential():
 
 def test_bc_fractional_integrand_graded_vs_not():
     # int_BC (-y)^(1/2) dy has the closed value (2/3)(-y_c)^(3/2); the graded
-    # chart is exact while the ungraded one stalls above 1e-10
+    # chart is exact while uniform panels in y stall above 1e-10
     dom = omega1(1, 4, -0.5)
     y_c = dom.apex.y
     expected = (2.0 / 3.0) * (-y_c) ** 1.5
@@ -201,8 +201,8 @@ def test_bc_fractional_integrand_graded_vs_not():
 
     graded = integrate_curve(form, dom, BoundaryCurveId.BC, QuadConfig())
     assert graded == pytest.approx(expected, abs=1e-12)
-    loose = QuadConfig(grade_endpoints=False, abs_tol=1.0, rel_tol=1.0)
-    ungraded = integrate_curve(form, dom, BoundaryCurveId.BC, loose)
+    loose = QuadConfig(abs_tol=1.0, rel_tol=1.0)
+    ungraded = integrate_interval(lambda t: (-t) ** 0.5, y_c, 0.0, loose)
     assert abs(ungraded - expected) > 1e-10
 
 
