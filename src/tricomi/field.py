@@ -22,6 +22,7 @@ from .quad import _blockwise
 
 __all__ = [
     "Jet2",
+    "JET_PARTS",
     "ScalarField",
     "Const",
     "Coord",
@@ -62,41 +63,61 @@ __all__ = [
 @dataclass(eq=False)
 class Jet2:
     """Value and derivatives through second order; components are floats
-    or numpy arrays of a common shape."""
+    or numpy arrays of a common shape.  The first-order parts are always
+    there; a second-order part that was not asked for (ScalarField.jet's
+    parts) is None, so reading it fails instead of giving a number."""
 
     u: np.ndarray
     ux: np.ndarray
     uy: np.ndarray
-    uxx: np.ndarray
-    uxy: np.ndarray
-    uyy: np.ndarray
+    uxx: np.ndarray | None = None
+    uxy: np.ndarray | None = None
+    uyy: np.ndarray | None = None
 
 
-def _chain(b: Jet2, g, g1, g2) -> Jet2:
-    # jet of g(b) from scalar derivatives g, g', g'' evaluated at b.u
-    return Jet2(
-        u=g,
-        ux=g1 * b.ux,
-        uy=g1 * b.uy,
-        uxx=g2 * b.ux * b.ux + g1 * b.uxx,
-        uxy=g2 * b.ux * b.uy + g1 * b.uxy,
-        uyy=g2 * b.uy * b.uy + g1 * b.uyy,
-    )
+JET_PARTS = ("u", "ux", "uy", "uxx", "uxy", "uyy")
+
+
+def _parts(second, **rules) -> dict:
+    # the second-order parts named in second, each made by its rule
+    return {k: rules[k]() for k in second}
+
+
+def _chain(b: Jet2, g, g1, g2, second) -> Jet2:
+    # jet of g(b) from scalar derivatives g, g' at b.u; g2() gives g'' at
+    # b.u and is called only when a second-order part is asked for
+    d2 = g2() if second else None
+    return Jet2(g, g1 * b.ux, g1 * b.uy, **_parts(
+        second,
+        uxx=lambda: d2 * b.ux * b.ux + g1 * b.uxx,
+        uxy=lambda: d2 * b.ux * b.uy + g1 * b.uxy,
+        uyy=lambda: d2 * b.uy * b.uy + g1 * b.uyy))
 
 
 class ScalarField:
     """Base expression node.  Subclasses are frozen dataclasses, so trees
     compare and hash structurally (used for grid caching)."""
 
-    def jet(self, x, y, known=None) -> Jet2:
-        """Jet at the points (x, y).  known(node), when given, returns the
-        jet of a subtree already evaluated on these same points, or None;
-        a returned jet is used instead of evaluating that subtree again,
-        so the result is bit-identical to a cold evaluation.
+    def jet(self, x, y, known=None, parts=JET_PARTS) -> Jet2:
+        """Jet at the points (x, y).  parts names the parts to compute: u,
+        ux and uy, plus any of uxx, uxy and uyy; the others are left None.
+        Each part computed takes the same operations whatever else is
+        asked for, so it is bit-identical to the part of a full jet.
+
+        known(node), when given, returns the jet of a subtree already
+        evaluated on these same points, or None; a returned jet is used
+        instead of evaluating that subtree again, so the result is
+        bit-identical to a cold evaluation.  A known jet lacking one of
+        parts raises ValueError.
 
         Points beyond one block are evaluated block by block (see
         quad._blockwise): the tree is walked once per block and each known
         jet is looked up once per call and sliced for every block."""
+        second = tuple(k for k in JET_PARTS[3:] if k in parts)
+        names = JET_PARTS[:3] + second
+        if sorted(parts) != sorted(names):
+            raise ValueError(f"parts must be u, ux, uy and any of uxx, uxy, "
+                             f"uyy, each once; got {parts!r}")
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                      np.asarray(y, dtype=float))
         looked = {}  # id(node) -> (node, known jet or None); node pins the id
@@ -107,20 +128,24 @@ class ScalarField:
             def sub(node):
                 entry = looked.get(id(node))
                 if entry is None:
-                    entry = looked[id(node)] = (
-                        node, None if known is None else known(node))
+                    j = None if known is None else known(node)
+                    if j is not None and any(getattr(j, k) is None for k in names):
+                        raise ValueError(f"the known jet of {to_prefix(node)} "
+                                         f"lacks a part of {names}")
+                    entry = looked[id(node)] = (node, j)
                 j = entry[1]
                 if j is None:
-                    return node._jet(xs, ys, sub)
-                return j if sl is ... else Jet2(*(c[sl] for c in vars(j).values()))
+                    return node._jet(xs, ys, sub, second)
+                return j if sl is ... else Jet2(**{k: getattr(j, k)[sl] for k in names})
 
             j, sub = sub(self), None  # sub's closure cycle would pin arrays until gc
-            return tuple(vars(j).values())
+            return tuple(getattr(j, k) for k in names)
 
-        return Jet2(*_blockwise(xb, block))
+        return Jet2(**dict(zip(names, _blockwise(xb, block))))
 
-    def _jet(self, x, y, sub) -> Jet2:
-        # sub(child) is the jet of a child node on the same points
+    def _jet(self, x, y, sub, second) -> Jet2:
+        # sub(child) is the jet of a child node on the same points; second
+        # names the second-order parts to compute
         raise NotImplementedError
 
     def diff(self, var: str) -> "ScalarField":
@@ -180,9 +205,9 @@ class Const(ScalarField):
         if not math.isfinite(self.v):
             raise ValueError("constant must be finite")
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         z = np.zeros_like(x)
-        return Jet2(np.full_like(x, self.v), z, z, z.copy(), z.copy(), z.copy())
+        return Jet2(np.full_like(x, self.v), z, z, **{k: z.copy() for k in second})
 
     def diff(self, var):
         return Const(0.0)
@@ -196,12 +221,13 @@ class Coord(ScalarField):
         if self.name not in ("x", "y"):
             raise ValueError("coordinate must be 'x' or 'y'")
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         z = np.zeros_like(x)
         one = np.ones_like(x)
+        flat = {k: z.copy() for k in second}
         if self.name == "x":
-            return Jet2(x.copy(), one, z, z.copy(), z.copy(), z.copy())
-        return Jet2(y.copy(), z, one, z.copy(), z.copy(), z.copy())
+            return Jet2(x.copy(), one, z, **flat)
+        return Jet2(y.copy(), z, one, **flat)
 
     def diff(self, var):
         return Const(1.0) if var == self.name else Const(0.0)
@@ -216,10 +242,10 @@ class Add(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
         return Jet2(ja.u + jb.u, ja.ux + jb.ux, ja.uy + jb.uy,
-                    ja.uxx + jb.uxx, ja.uxy + jb.uxy, ja.uyy + jb.uyy)
+                    **{k: getattr(ja, k) + getattr(jb, k) for k in second})
 
     def diff(self, var):
         return Add(self.a.diff(var), self.b.diff(var))
@@ -230,10 +256,10 @@ class Sub(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
         return Jet2(ja.u - jb.u, ja.ux - jb.ux, ja.uy - jb.uy,
-                    ja.uxx - jb.uxx, ja.uxy - jb.uxy, ja.uyy - jb.uyy)
+                    **{k: getattr(ja, k) - getattr(jb, k) for k in second})
 
     def diff(self, var):
         return Sub(self.a.diff(var), self.b.diff(var))
@@ -244,16 +270,18 @@ class Mul(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
         return Jet2(
             ja.u * jb.u,
             ja.ux * jb.u + ja.u * jb.ux,
             ja.uy * jb.u + ja.u * jb.uy,
-            ja.uxx * jb.u + 2.0 * ja.ux * jb.ux + ja.u * jb.uxx,
-            ja.uxy * jb.u + ja.ux * jb.uy + ja.uy * jb.ux + ja.u * jb.uxy,
-            ja.uyy * jb.u + 2.0 * ja.uy * jb.uy + ja.u * jb.uyy,
-        )
+            **_parts(
+                second,
+                uxx=lambda: ja.uxx * jb.u + 2.0 * ja.ux * jb.ux + ja.u * jb.uxx,
+                uxy=lambda: (ja.uxy * jb.u + ja.ux * jb.uy + ja.uy * jb.ux
+                             + ja.u * jb.uxy),
+                uyy=lambda: ja.uyy * jb.u + 2.0 * ja.uy * jb.uy + ja.u * jb.uyy))
 
     def diff(self, var):
         return Add(Mul(self.a.diff(var), self.b), Mul(self.a, self.b.diff(var)))
@@ -264,17 +292,18 @@ class Div(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
         if np.any(jb.u == 0.0):
             raise DomainError("division by zero in field evaluation")
         w = ja.u / jb.u
         wx = (ja.ux - w * jb.ux) / jb.u
         wy = (ja.uy - w * jb.uy) / jb.u
-        wxx = (ja.uxx - 2.0 * wx * jb.ux - w * jb.uxx) / jb.u
-        wxy = (ja.uxy - wx * jb.uy - wy * jb.ux - w * jb.uxy) / jb.u
-        wyy = (ja.uyy - 2.0 * wy * jb.uy - w * jb.uyy) / jb.u
-        return Jet2(w, wx, wy, wxx, wxy, wyy)
+        return Jet2(w, wx, wy, **_parts(
+            second,
+            uxx=lambda: (ja.uxx - 2.0 * wx * jb.ux - w * jb.uxx) / jb.u,
+            uxy=lambda: (ja.uxy - wx * jb.uy - wy * jb.ux - w * jb.uxy) / jb.u,
+            uyy=lambda: (ja.uyy - 2.0 * wy * jb.uy - w * jb.uyy) / jb.u))
 
     def diff(self, var):
         num = Sub(Mul(self.a.diff(var), self.b), Mul(self.a, self.b.diff(var)))
@@ -285,9 +314,9 @@ class Div(ScalarField):
 class Neg(ScalarField):
     a: ScalarField
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         j = sub(self.a)
-        return Jet2(-j.u, -j.ux, -j.uy, -j.uxx, -j.uxy, -j.uyy)
+        return Jet2(-j.u, -j.ux, -j.uy, **{k: -getattr(j, k) for k in second})
 
     def diff(self, var):
         return Neg(self.a.diff(var))
@@ -302,19 +331,19 @@ class IPow(ScalarField):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise TypeError("exponent must be an integer")
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         j = sub(self.a)
         n = self.n
         if n == 0:
             z = np.zeros_like(x)
-            return Jet2(np.ones_like(x), z, z, z.copy(), z.copy(), z.copy())
+            return Jet2(np.ones_like(x), z, z, **{k: z.copy() for k in second})
         s = j.u
         if n < 0 and np.any(s == 0.0):
             raise DomainError("negative power of a vanishing field")
         g = s ** n
         g1 = n * s ** (n - 1)
-        g2 = np.zeros_like(s) if n == 1 else n * (n - 1) * s ** (n - 2)
-        return _chain(j, g, g1, g2)
+        return _chain(j, g, g1, lambda: np.zeros_like(s) if n == 1
+                      else n * (n - 1) * s ** (n - 2), second)
 
     def diff(self, var):
         if self.n == 0:
@@ -354,7 +383,7 @@ class OddRootPow(ScalarField):
         if math.gcd(abs(self.p), self.q) != 1:
             raise ValueError("p/q must be in lowest terms (use root_power)")
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         j = sub(self.a)
         s = j.u
         if np.any(s == 0.0) and self.p - 2 * self.q < 0:
@@ -364,8 +393,8 @@ class OddRootPow(ScalarField):
         r = self.p / self.q
         g = _oddpow(s, self.p, self.q)
         g1 = r * _oddpow(s, self.p - self.q, self.q)
-        g2 = r * (r - 1.0) * _oddpow(s, self.p - 2 * self.q, self.q)
-        return _chain(j, g, g1, g2)
+        return _chain(j, g, g1, lambda: r * (r - 1.0)
+                      * _oddpow(s, self.p - 2 * self.q, self.q), second)
 
     def diff(self, var):
         scale = Const(self.p / self.q)
@@ -401,14 +430,13 @@ class AbsPow(ScalarField):
         if not (math.isfinite(self.gamma) and self.gamma > 2.0):
             raise ValueError("gamma must be finite and > 2")
 
-    def _jet(self, x, y, sub):
+    def _jet(self, x, y, sub, second):
         j = sub(self.a)
         s = j.u
         a2 = np.abs(s) ** (self.gamma - 2.0)
         g = a2 * s * s
         g1 = self.gamma * s * a2
-        g2 = self.gamma * (self.gamma - 1.0) * a2
-        return _chain(j, g, g1, g2)
+        return _chain(j, g, g1, lambda: self.gamma * (self.gamma - 1.0) * a2, second)
 
     def diff(self, var):
         raise NotImplementedError(

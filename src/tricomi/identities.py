@@ -163,18 +163,21 @@ def _kept(level, key, make):
     if value is None:
         value = level.memo[key] = make()
         for a in vars(value).values() if isinstance(value, Jet2) else value:
-            a.flags.writeable = False
+            if a is not None:   # a part the level's jets leave out
+                a.flags.writeable = False
     return value
 
 
 class _LevelJets:
     """(grid, jet of u, operator weights) on each level of a grid pair, kept
     in the level's memo so they live as long as the level; a new jet reuses
-    the kept jet of every subtree on the same level.  cache_info() counts
-    the calls that found every jet kept."""
+    the kept jet of every subtree on the same level.  Every jet of the
+    levels holds the same parts.  cache_info() counts the calls that found
+    every jet kept."""
 
-    def __init__(self, grids):
+    def __init__(self, grids, parts):
         self._grids = grids
+        self._parts = parts
         self.hits = self.misses = 0
 
     def __call__(self, u: ScalarField, domain: DomainSpec, *where):
@@ -183,7 +186,8 @@ class _LevelJets:
             self.hits += 1
         else:
             self.misses += 1
-        return tuple((g, _kept(g, u, lambda: u.jet(g.x, g.y, known=g.memo.get)),
+        return tuple((g, _kept(g, u, lambda: u.jet(g.x, g.y, known=g.memo.get,
+                                                   parts=self._parts)),
                       _kept(g, domain.params,
                             lambda: operator_weights(domain.params, g.x, g.y)))
                      for g in grids)
@@ -192,11 +196,17 @@ class _LevelJets:
         return _CacheInfo(self.hits, self.misses)
 
 
+# O has no mixed term, so area densities read u, its gradient, uxx and uyy;
+# the boundary forms and the weighted-gradient norm are first order
+_AREA_PARTS = ("u", "ux", "uy", "uxx", "uyy")
+_FIRST_ORDER = ("u", "ux", "uy")
+
 # the grid builders are looked up at call time, so a wrapper installed on
 # quad's names sees these calls too
-_area_jets = _LevelJets(lambda domain, cfg: quad.domain_grids(domain, cfg))
+_area_jets = _LevelJets(lambda domain, cfg: quad.domain_grids(domain, cfg),
+                        _AREA_PARTS)
 _curve_jets = _LevelJets(lambda domain, curve_id, cfg:
-                         quad.curve_grids(domain, curve_id, cfg))
+                         quad.curve_grids(domain, curve_id, cfg), _FIRST_ORDER)
 
 
 def _area_functional(u, domain, cfg, density) -> float:
@@ -485,7 +495,7 @@ def _box_sums(u: ScalarField, lx: float, ly: float, pexp: float,
     over the box [-lx, lx] x [-ly, ly], both reduced from one jet per level."""
     lp, grad = [], []
     for g in quad.box_grids(lx, ly, cfg):
-        j = u.jet(g.x, g.y)
+        j = u.jet(g.x, g.y, parts=_FIRST_ORDER)
         lp.append(quad._level_sum([np.abs(j.u) ** pexp], [g.w]))
         grad.append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)], [g.w]))
     return tuple(lp), tuple(grad)

@@ -2,6 +2,7 @@
 in blocks of quad._BLOCK points and must equal one whole-array evaluation
 bit for bit, raise the same errors, and keep their temporaries small."""
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -10,22 +11,27 @@ import pytest
 
 from tricomi import quad
 from tricomi.errors import DomainError
-from tricomi.field import X, Y, Const, Div, manufactured
+from tricomi.field import JET_PARTS, X, Y, Const, Div, O_from_jet, manufactured
 from tricomi.identities import reference_domains
+from tricomi.params import OperatorParams
 from tricomi.quad import QuadConfig
 
 # 18 panels: on every reference domain both levels span more than one block
 # (omega4's coarse level 1.27 blocks), neither a whole number of them
 CFG = QuadConfig(panels_per_axis=18)
 
+FIRST_ORDER = ("u", "ux", "uy")
+# the part sets jets are asked for: in full, without the mixed part (area
+# levels), first order (curve and box levels)
+PART_SETS = [JET_PARTS, ("u", "ux", "uy", "uxx", "uyy"), FIRST_ORDER]
+
 
 def _identical(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def _same_jet(j1, j2) -> bool:
-    return all(_identical(getattr(j1, c), getattr(j2, c))
-               for c in ("u", "ux", "uy", "uxx", "uxy", "uyy"))
+def _same_jet(j1, j2, parts=JET_PARTS) -> bool:
+    return all(_identical(getattr(j1, c), getattr(j2, c)) for c in parts)
 
 
 def _one_block(monkeypatch, fn):
@@ -37,17 +43,19 @@ def _one_block(monkeypatch, fn):
 
 @pytest.mark.parametrize("dom", reference_domains(), ids=lambda d: d.variant.value)
 def test_blocked_jets_equal_the_single_block_walk(monkeypatch, dom):
+    # a jet asked for some parts equals those parts of the full jet walked
+    # as one block, blocked or not, with a known subtree or cold
     base = manufactured(dom)
     second = base * (Const(1.0) + X / 2 - Y / 3)
-    for g in quad.domain_grids(dom, CFG):
+    for g, parts in itertools.product(quad.domain_grids(dom, CFG), PART_SETS):
         assert g.x.size > quad._BLOCK and g.x.size % quad._BLOCK
-        jb = base.jet(g.x, g.y)
-        assert _same_jet(jb, _one_block(monkeypatch, lambda: base.jet(g.x, g.y)))
-        known = {base: jb}.get   # the subtree-reuse path
-        js = second.jet(g.x, g.y, known=known)
-        assert _same_jet(js, _one_block(
-            monkeypatch, lambda: second.jet(g.x, g.y, known=known)))
-        assert _same_jet(js, _one_block(monkeypatch, lambda: second.jet(g.x, g.y)))
+        known = {base: base.jet(g.x, g.y, parts=parts)}.get   # the subtree-reuse path
+        for u, kn in ((base, None), (second, None), (second, known)):
+            full = _one_block(monkeypatch, lambda: u.jet(g.x, g.y))
+            for j in (u.jet(g.x, g.y, known=kn, parts=parts), _one_block(
+                    monkeypatch, lambda: u.jet(g.x, g.y, known=kn, parts=parts))):
+                assert _same_jet(j, full, parts), parts
+                assert all(getattr(j, k) is None for k in JET_PARTS if k not in parts)
 
 
 def test_known_subtrees_are_looked_up_once_per_call():
@@ -64,6 +72,30 @@ def test_known_subtrees_are_looked_up_once_per_call():
     field.jet(x, 0.5 * x, known=known)
     assert asked.count(base) == 1
     assert len(asked) == len({id(n) for n in asked})
+
+
+def test_a_part_that_was_not_computed_cannot_be_read():
+    x = np.linspace(0.1, 1.0, 50)
+    j = (X * X * Y).jet(x, x, parts=FIRST_ORDER)
+    with pytest.raises(TypeError):
+        O_from_jet(OperatorParams(1, 4), j, x, x)
+
+
+@pytest.mark.parametrize("n", [100, 3 * quad._BLOCK + 5], ids=["one-block", "blocks"])
+def test_a_known_jet_lacking_an_asked_part_raises(n):
+    x = np.linspace(-1.0, 1.0, n)
+    base = X * X - Y
+    known = {base: base.jet(x, x, parts=FIRST_ORDER)}.get
+    for parts in PART_SETS[:2]:
+        with pytest.raises(ValueError, match="lacks a part"):
+            (base * X).jet(x, x, known=known, parts=parts)
+
+
+@pytest.mark.parametrize("parts", [("u", "ux"), ("u", "ux", "uy", "uxy", "uxy"),
+                                   ("u", "ux", "uy", "uzz")])
+def test_parts_name_the_first_order_parts_and_known_ones_once(parts):
+    with pytest.raises(ValueError, match="parts must be"):
+        X.jet(np.zeros(3), np.zeros(3), parts=parts)
 
 
 def test_division_by_zero_in_the_last_block_raises():
@@ -112,12 +144,13 @@ def test_fine_level_jet_peak_memory_stays_near_its_output():
     dom = reference_domains()[0]
     u = manufactured(dom)
     fine, _ = quad.domain_grids(dom, QuadConfig())
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        j = u.jet(fine.x, fine.y)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    out = sum(c.nbytes for c in vars(j).values())
-    assert peak <= 1.5 * out, (peak, out)
+    for parts in (JET_PARTS, FIRST_ORDER):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            j = u.jet(fine.x, fine.y, parts=parts)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        out = sum(getattr(j, k).nbytes for k in parts)
+        assert peak <= 1.5 * out, (parts, peak, out)

@@ -249,6 +249,17 @@ def test_closed_stdout_pipe_exits_141_quietly(unbuffered):
     assert proc.returncode == 141 and err == b""
 
 
+def test_python_dash_m_tricomi_runs_the_command_line_with_a_clean_stderr():
+    # python -m tricomi.cli would import cli twice (the package imports it)
+    # and runpy warns about that on stderr; the package's __main__ does not
+    env = dict(os.environ, PYTHONPATH=str(Path(tricomi.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tricomi", "exponent", "--m1", "1", "--m2", "0"],
+        capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"critical_exponent 10" in proc.stdout.splitlines()
+
+
 def test_hardy_takes_no_p_or_q(capsys):
     # HardyParams(p, q) with p, q != 2 has no inequality check to report
     with pytest.raises(SystemExit) as ei:

@@ -12,9 +12,10 @@ import pytest
 from tricomi import identities, quad
 from tricomi.errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                             PreconditionViolated)
-from tricomi.field import (X, Y, Const, SampleFn1D, ScalarField, VANISH_AC,
-                           manufactured)
-from tricomi.geometry import ParametricArc, Point, Vec2, omega1, omega4
+from tricomi.field import (JET_PARTS, X, Y, Const, SampleFn1D, ScalarField,
+                           VANISH_AC, manufactured)
+from tricomi.geometry import (BoundaryCurveId, ParametricArc, Point, Vec2,
+                              omega1, omega4)
 from tricomi.identities import (HardyParams, IdentityReport, boundary_energy_I,
                                 equivalence_chain, hardy_GL, hardy_GL_numeric,
                                 hardy_constants, hardy_inequality_check,
@@ -349,18 +350,17 @@ def test_identities_honor_quad_config():
 SMALL = QuadConfig(panels_per_axis=8)
 
 
-def _same_jet(a, b):
-    return all(np.array_equal(getattr(a, k), getattr(b, k))
-               for k in ("u", "ux", "uy", "uxx", "uxy", "uyy"))
+def _same_jet(a, b, parts):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in parts)
 
 
 def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
     memos, found = [], []
     jet = ScalarField.jet
 
-    def spy(self, x, y, known=None):
+    def spy(self, x, y, known=None, parts=JET_PARTS):
         if known is None:
-            return jet(self, x, y)
+            return jet(self, x, y, parts=parts)
         memo = known.__self__          # known is a level memo's get
 
         def look(node):
@@ -370,7 +370,7 @@ def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
             return j
 
         memos.append(memo)
-        return jet(self, x, y, look)
+        return jet(self, x, y, look, parts)
 
     monkeypatch.setattr(ScalarField, "jet", spy)
     for dom in reference_domains():
@@ -384,7 +384,9 @@ def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
         assert base in found       # the base field's kept jet was reused
         assert memos == [g.memo for g, _, _ in levels]
         for g, j, _ in levels:
-            assert _same_jet(j, second.jet(g.x, g.y))
+            # an area level holds every part but the unread uxy
+            assert j.uxy is None
+            assert _same_jet(j, second.jet(g.x, g.y), identities._AREA_PARTS)
 
 
 def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
@@ -394,10 +396,10 @@ def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
     sampled = []
     jet = ScalarField.jet
 
-    def spy(self, x, y, known=None):
+    def spy(self, x, y, known=None, parts=JET_PARTS):
         if np.size(x) == 100:          # the precondition's samples per piece
             sampled.append(self)
-        return jet(self, x, y, known)
+        return jet(self, x, y, known, parts)
 
     monkeypatch.setattr(ScalarField, "jet", spy)
     step1_residual(u, dom, SMALL)
@@ -440,7 +442,11 @@ def test_jets_are_released_with_their_domain():
 
 def test_stored_jets_and_weights_are_read_only():
     dom = omega4(1, 0, -0.5)
-    (_, j, (ym1, xm2)), _ = identities._area_jets(manufactured(dom), dom, SMALL)
-    for arr in (j.u, j.uxx, ym1, xm2):
+    u = manufactured(dom)
+    (_, j, (ym1, xm2)), _ = identities._area_jets(u, dom, SMALL)
+    (_, jc, _), _ = identities._curve_jets(u, dom, BoundaryCurveId.BC, SMALL)
+    for arr in (j.u, j.uxx, ym1, xm2, jc.u, jc.uy):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+    # each level kind keeps the parts its densities read and no others
+    assert (j.uxy, jc.uxx, jc.uxy, jc.uyy) == (None,) * 4
