@@ -1,5 +1,6 @@
-"""Exact second-order jets, the degenerate operator, and how a manufactured
-field behaves under it: divergence consistency and dilation covariance."""
+"""Exact jets (value, gradient, u_xx, u_yy), the degenerate operator, and
+how a manufactured field behaves under it: divergence consistency and
+dilation covariance."""
 import numpy as np
 
 from tricomi import (OperatorParams, Point, X, Y, apply_O, apply_X,
@@ -11,8 +12,7 @@ u = parse_field("(* (pow x 2) y)")
 print("field:", to_prefix(u))
 p = Point(2.0, 3.0)
 j = jet2(u, p)
-print(f"jet at (2,3): u {j.u}  ux {j.ux}  uy {j.uy}  "
-      f"uxx {j.uxx}  uxy {j.uxy}  uyy {j.uyy}")
+print(f"jet at (2,3): u {j.u}  ux {j.ux}  uy {j.uy}  uxx {j.uxx}  uyy {j.uyy}")
 print(f"Ou at (-1,-1): {apply_O(params, u, Point(-1.0, -1.0))}")
 print(f"Xu at ( 1, 1): {apply_X(params, u, Point(1.0, 1.0))}")
 

@@ -1,6 +1,5 @@
-"""Scalar fields as immutable expression trees carrying exact second-order
-jets (value and derivatives through order two), evaluated vectorized over
-numpy arrays.
+"""Scalar fields as immutable expression trees carrying exact jets (value,
+gradient, u_xx and u_yy), evaluated vectorized over numpy arrays.
 
 Odd-root powers follow the convention s**(p/q) := sign(s)**p * |s|**(p/q)
 for odd q, which is the real branch used on the hyperbolic side.  |s|**g
@@ -22,7 +21,6 @@ from .quad import _blockwise
 
 __all__ = [
     "Jet2",
-    "JET_PARTS",
     "ScalarField",
     "Const",
     "Coord",
@@ -62,62 +60,58 @@ __all__ = [
 
 @dataclass(eq=False)
 class Jet2:
-    """Value and derivatives through second order; components are floats
-    or numpy arrays of a common shape.  The first-order parts are always
-    there; a second-order part that was not asked for (ScalarField.jet's
-    parts) is None, so reading it fails instead of giving a number."""
+    """Value, gradient, uxx and uyy; components are floats or numpy arrays
+    of a common shape.  O has no mixed term and no check reads one, so a
+    jet carries no mixed derivative.  uxx and uyy are None in a first-order
+    jet (ScalarField.jet's second unset), so reading them fails instead of
+    giving a number."""
 
     u: np.ndarray
     ux: np.ndarray
     uy: np.ndarray
     uxx: np.ndarray | None = None
-    uxy: np.ndarray | None = None
     uyy: np.ndarray | None = None
 
 
-JET_PARTS = ("u", "ux", "uy", "uxx", "uxy", "uyy")
+def _parts(j: Jet2, second: bool) -> tuple:
+    return (j.u, j.ux, j.uy, j.uxx, j.uyy) if second else (j.u, j.ux, j.uy)
 
 
-def _parts(second, **rules) -> dict:
-    # the second-order parts named in second, each made by its rule
-    return {k: rules[k]() for k in second}
+def _flat(z, second: bool) -> tuple:
+    # the second-order parts of an affine field: zeros, each its own array
+    return (z.copy(), z.copy()) if second else ()
 
 
 def _chain(b: Jet2, g, g1, g2, second) -> Jet2:
     # jet of g(b) from scalar derivatives g, g' at b.u; g2() gives g'' at
-    # b.u and is called only when a second-order part is asked for
-    d2 = g2() if second else None
-    return Jet2(g, g1 * b.ux, g1 * b.uy, **_parts(
-        second,
-        uxx=lambda: d2 * b.ux * b.ux + g1 * b.uxx,
-        uxy=lambda: d2 * b.ux * b.uy + g1 * b.uxy,
-        uyy=lambda: d2 * b.uy * b.uy + g1 * b.uyy))
+    # b.u and is called only when the second-order parts are asked for
+    j = Jet2(g, g1 * b.ux, g1 * b.uy)
+    if second:
+        d2 = g2()
+        j.uxx = d2 * b.ux * b.ux + g1 * b.uxx
+        j.uyy = d2 * b.uy * b.uy + g1 * b.uyy
+    return j
 
 
 class ScalarField:
     """Base expression node.  Subclasses are frozen dataclasses, so trees
     compare and hash structurally (used for grid caching)."""
 
-    def jet(self, x, y, known=None, parts=JET_PARTS) -> Jet2:
-        """Jet at the points (x, y).  parts names the parts to compute: u,
-        ux and uy, plus any of uxx, uxy and uyy; the others are left None.
-        Each part computed takes the same operations whatever else is
-        asked for, so it is bit-identical to the part of a full jet.
+    def jet(self, x, y, known=None, second=True) -> Jet2:
+        """Jet at the points (x, y): u, ux and uy, and with second set also
+        uxx and uyy (else they are None).  Each part takes the same
+        operations either way, so a first-order jet is bit-identical to
+        the first three parts of a second-order one.
 
         known(node), when given, returns the jet of a subtree already
         evaluated on these same points, or None; a returned jet is used
         instead of evaluating that subtree again, so the result is
-        bit-identical to a cold evaluation.  A known jet lacking one of
-        parts raises ValueError.
+        bit-identical to a cold evaluation.  A known first-order jet in a
+        second-order call raises ValueError.
 
         Points beyond one block are evaluated block by block (see
         quad._blockwise): the tree is walked once per block and each known
         jet is looked up once per call and sliced for every block."""
-        second = tuple(k for k in JET_PARTS[3:] if k in parts)
-        names = JET_PARTS[:3] + second
-        if sorted(parts) != sorted(names):
-            raise ValueError(f"parts must be u, ux, uy and any of uxx, uxy, "
-                             f"uyy, each once; got {parts!r}")
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                      np.asarray(y, dtype=float))
         looked = {}  # id(node) -> (node, known jet or None); node pins the id
@@ -129,23 +123,23 @@ class ScalarField:
                 entry = looked.get(id(node))
                 if entry is None:
                     j = None if known is None else known(node)
-                    if j is not None and any(getattr(j, k) is None for k in names):
+                    if j is not None and second and (j.uxx is None or j.uyy is None):
                         raise ValueError(f"the known jet of {to_prefix(node)} "
-                                         f"lacks a part of {names}")
+                                         "lacks its second-order parts")
                     entry = looked[id(node)] = (node, j)
                 j = entry[1]
                 if j is None:
                     return node._jet(xs, ys, sub, second)
-                return j if sl is ... else Jet2(**{k: getattr(j, k)[sl] for k in names})
+                return j if sl is ... else Jet2(*(a[sl] for a in _parts(j, second)))
 
             j, sub = sub(self), None  # sub's closure cycle would pin arrays until gc
-            return tuple(getattr(j, k) for k in names)
+            return _parts(j, second)
 
-        return Jet2(**dict(zip(names, _blockwise(xb, block))))
+        return Jet2(*_blockwise(xb, block))
 
     def _jet(self, x, y, sub, second) -> Jet2:
         # sub(child) is the jet of a child node on the same points; second
-        # names the second-order parts to compute
+        # says whether to compute uxx and uyy
         raise NotImplementedError
 
     def diff(self, var: str) -> "ScalarField":
@@ -207,7 +201,7 @@ class Const(ScalarField):
 
     def _jet(self, x, y, sub, second):
         z = np.zeros_like(x)
-        return Jet2(np.full_like(x, self.v), z, z, **{k: z.copy() for k in second})
+        return Jet2(np.full_like(x, self.v), z, z, *_flat(z, second))
 
     def diff(self, var):
         return Const(0.0)
@@ -224,10 +218,9 @@ class Coord(ScalarField):
     def _jet(self, x, y, sub, second):
         z = np.zeros_like(x)
         one = np.ones_like(x)
-        flat = {k: z.copy() for k in second}
         if self.name == "x":
-            return Jet2(x.copy(), one, z, **flat)
-        return Jet2(y.copy(), z, one, **flat)
+            return Jet2(x.copy(), one, z, *_flat(z, second))
+        return Jet2(y.copy(), z, one, *_flat(z, second))
 
     def diff(self, var):
         return Const(1.0) if var == self.name else Const(0.0)
@@ -244,8 +237,10 @@ class Add(ScalarField):
 
     def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
-        return Jet2(ja.u + jb.u, ja.ux + jb.ux, ja.uy + jb.uy,
-                    **{k: getattr(ja, k) + getattr(jb, k) for k in second})
+        j = Jet2(ja.u + jb.u, ja.ux + jb.ux, ja.uy + jb.uy)
+        if second:
+            j.uxx, j.uyy = ja.uxx + jb.uxx, ja.uyy + jb.uyy
+        return j
 
     def diff(self, var):
         return Add(self.a.diff(var), self.b.diff(var))
@@ -258,8 +253,10 @@ class Sub(ScalarField):
 
     def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
-        return Jet2(ja.u - jb.u, ja.ux - jb.ux, ja.uy - jb.uy,
-                    **{k: getattr(ja, k) - getattr(jb, k) for k in second})
+        j = Jet2(ja.u - jb.u, ja.ux - jb.ux, ja.uy - jb.uy)
+        if second:
+            j.uxx, j.uyy = ja.uxx - jb.uxx, ja.uyy - jb.uyy
+        return j
 
     def diff(self, var):
         return Sub(self.a.diff(var), self.b.diff(var))
@@ -272,16 +269,11 @@ class Mul(ScalarField):
 
     def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
-        return Jet2(
-            ja.u * jb.u,
-            ja.ux * jb.u + ja.u * jb.ux,
-            ja.uy * jb.u + ja.u * jb.uy,
-            **_parts(
-                second,
-                uxx=lambda: ja.uxx * jb.u + 2.0 * ja.ux * jb.ux + ja.u * jb.uxx,
-                uxy=lambda: (ja.uxy * jb.u + ja.ux * jb.uy + ja.uy * jb.ux
-                             + ja.u * jb.uxy),
-                uyy=lambda: ja.uyy * jb.u + 2.0 * ja.uy * jb.uy + ja.u * jb.uyy))
+        j = Jet2(ja.u * jb.u, ja.ux * jb.u + ja.u * jb.ux, ja.uy * jb.u + ja.u * jb.uy)
+        if second:
+            j.uxx = ja.uxx * jb.u + 2.0 * ja.ux * jb.ux + ja.u * jb.uxx
+            j.uyy = ja.uyy * jb.u + 2.0 * ja.uy * jb.uy + ja.u * jb.uyy
+        return j
 
     def diff(self, var):
         return Add(Mul(self.a.diff(var), self.b), Mul(self.a, self.b.diff(var)))
@@ -299,11 +291,11 @@ class Div(ScalarField):
         w = ja.u / jb.u
         wx = (ja.ux - w * jb.ux) / jb.u
         wy = (ja.uy - w * jb.uy) / jb.u
-        return Jet2(w, wx, wy, **_parts(
-            second,
-            uxx=lambda: (ja.uxx - 2.0 * wx * jb.ux - w * jb.uxx) / jb.u,
-            uxy=lambda: (ja.uxy - wx * jb.uy - wy * jb.ux - w * jb.uxy) / jb.u,
-            uyy=lambda: (ja.uyy - 2.0 * wy * jb.uy - w * jb.uyy) / jb.u))
+        j = Jet2(w, wx, wy)
+        if second:
+            j.uxx = (ja.uxx - 2.0 * wx * jb.ux - w * jb.uxx) / jb.u
+            j.uyy = (ja.uyy - 2.0 * wy * jb.uy - w * jb.uyy) / jb.u
+        return j
 
     def diff(self, var):
         num = Sub(Mul(self.a.diff(var), self.b), Mul(self.a, self.b.diff(var)))
@@ -316,7 +308,10 @@ class Neg(ScalarField):
 
     def _jet(self, x, y, sub, second):
         j = sub(self.a)
-        return Jet2(-j.u, -j.ux, -j.uy, **{k: -getattr(j, k) for k in second})
+        neg = Jet2(-j.u, -j.ux, -j.uy)
+        if second:
+            neg.uxx, neg.uyy = -j.uxx, -j.uyy
+        return neg
 
     def diff(self, var):
         return Neg(self.a.diff(var))
@@ -336,7 +331,7 @@ class IPow(ScalarField):
         n = self.n
         if n == 0:
             z = np.zeros_like(x)
-            return Jet2(np.ones_like(x), z, z, **{k: z.copy() for k in second})
+            return Jet2(np.ones_like(x), z, z, *_flat(z, second))
         s = j.u
         if n < 0 and np.any(s == 0.0):
             raise DomainError("negative power of a vanishing field")
@@ -451,9 +446,8 @@ def abs_power(base, gamma: float) -> ScalarField:
 # operator actions
 
 def jet2(u: ScalarField, p: Point) -> Jet2:
-    """Full second-order jet at a point, as floats."""
-    j = u.jet(p.x, p.y)
-    return Jet2(*(float(np.asarray(c)) for c in (j.u, j.ux, j.uy, j.uxx, j.uxy, j.uyy)))
+    """Second-order jet at a point, as floats."""
+    return Jet2(*(float(np.asarray(c)) for c in _parts(u.jet(p.x, p.y), True)))
 
 
 def operator_weights(params: OperatorParams, x, y):

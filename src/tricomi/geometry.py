@@ -174,6 +174,8 @@ class DomainSpec:
     apex: Point = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.anchor):
+            raise ValueError(f"anchor must be finite, got {self.anchor}")
         require_admissible(self.params, self.variant.value)
         v = self.variant
         if v is Variant.OMEGA1 and not self.anchor < 0:

@@ -10,6 +10,7 @@ use sites.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,8 +144,9 @@ def cubic_nonlinearity() -> NonlinearitySpec:
 
 def power_nonlinearity(alpha: float = 3.0) -> NonlinearitySpec:
     """f(s) = s|s|^(alpha-1), F(s) = |s|^(alpha+1)/(alpha+1)."""
-    if alpha <= 1:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    # alpha = inf makes |u|**alpha vanish on |u| < 1, a vacuous identity
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError(f"alpha must be finite and exceed 1, got {alpha}")
     return NonlinearitySpec(
         "power", f=lambda s: np.sign(s) * np.abs(s) ** alpha,
         F=lambda s: np.abs(s) ** (alpha + 1) / (alpha + 1), alpha=alpha)

@@ -51,8 +51,10 @@ class QuadConfig:
             raise ValueError("gauss_order must be an integer >= 2")
         if not (isinstance(self.panels_per_axis, int) and self.panels_per_axis >= 1):
             raise ValueError("panels_per_axis must be an integer >= 1")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        # an infinite or NaN tolerance would let every check pass
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and positive, got "
+                             f"abs_tol {self.abs_tol}, rel_tol {self.rel_tol}")
 
     @property
     def levels(self) -> tuple[int, int]:

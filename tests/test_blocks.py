@@ -11,7 +11,7 @@ import pytest
 
 from tricomi import quad
 from tricomi.errors import DomainError
-from tricomi.field import JET_PARTS, X, Y, Const, Div, O_from_jet, manufactured
+from tricomi.field import X, Y, Const, Div, O_from_jet, manufactured
 from tricomi.identities import reference_domains
 from tricomi.params import OperatorParams
 from tricomi.quad import QuadConfig
@@ -21,16 +21,16 @@ from tricomi.quad import QuadConfig
 CFG = QuadConfig(panels_per_axis=18)
 
 FIRST_ORDER = ("u", "ux", "uy")
-# the part sets jets are asked for: in full, without the mixed part (area
-# levels), first order (curve and box levels)
-PART_SETS = [JET_PARTS, ("u", "ux", "uy", "uxx", "uyy"), FIRST_ORDER]
+# the parts of a jet of each order: second (area levels) and first (curve
+# and box levels)
+PARTS = {True: FIRST_ORDER + ("uxx", "uyy"), False: FIRST_ORDER}
 
 
 def _identical(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def _same_jet(j1, j2, parts=JET_PARTS) -> bool:
+def _same_jet(j1, j2, parts=PARTS[True]) -> bool:
     return all(_identical(getattr(j1, c), getattr(j2, c)) for c in parts)
 
 
@@ -43,19 +43,19 @@ def _one_block(monkeypatch, fn):
 
 @pytest.mark.parametrize("dom", reference_domains(), ids=lambda d: d.variant.value)
 def test_blocked_jets_equal_the_single_block_walk(monkeypatch, dom):
-    # a jet asked for some parts equals those parts of the full jet walked
-    # as one block, blocked or not, with a known subtree or cold
+    # a jet of either order equals those parts of the second-order jet
+    # walked as one block, blocked or not, with a known subtree or cold
     base = manufactured(dom)
-    second = base * (Const(1.0) + X / 2 - Y / 3)
-    for g, parts in itertools.product(quad.domain_grids(dom, CFG), PART_SETS):
+    field = base * (Const(1.0) + X / 2 - Y / 3)
+    for g, second in itertools.product(quad.domain_grids(dom, CFG), PARTS):
         assert g.x.size > quad._BLOCK and g.x.size % quad._BLOCK
-        known = {base: base.jet(g.x, g.y, parts=parts)}.get   # the subtree-reuse path
-        for u, kn in ((base, None), (second, None), (second, known)):
+        known = {base: base.jet(g.x, g.y, second=second)}.get   # the subtree-reuse path
+        for u, kn in ((base, None), (field, None), (field, known)):
             full = _one_block(monkeypatch, lambda: u.jet(g.x, g.y))
-            for j in (u.jet(g.x, g.y, known=kn, parts=parts), _one_block(
-                    monkeypatch, lambda: u.jet(g.x, g.y, known=kn, parts=parts))):
-                assert _same_jet(j, full, parts), parts
-                assert all(getattr(j, k) is None for k in JET_PARTS if k not in parts)
+            for j in (u.jet(g.x, g.y, known=kn, second=second), _one_block(
+                    monkeypatch, lambda: u.jet(g.x, g.y, known=kn, second=second))):
+                assert _same_jet(j, full, PARTS[second]), second
+                assert second or (j.uxx, j.uyy) == (None, None)
 
 
 def test_known_subtrees_are_looked_up_once_per_call():
@@ -76,7 +76,7 @@ def test_known_subtrees_are_looked_up_once_per_call():
 
 def test_a_part_that_was_not_computed_cannot_be_read():
     x = np.linspace(0.1, 1.0, 50)
-    j = (X * X * Y).jet(x, x, parts=FIRST_ORDER)
+    j = (X * X * Y).jet(x, x, second=False)
     with pytest.raises(TypeError):
         O_from_jet(OperatorParams(1, 4), j, x, x)
 
@@ -85,17 +85,12 @@ def test_a_part_that_was_not_computed_cannot_be_read():
 def test_a_known_jet_lacking_an_asked_part_raises(n):
     x = np.linspace(-1.0, 1.0, n)
     base = X * X - Y
-    known = {base: base.jet(x, x, parts=FIRST_ORDER)}.get
-    for parts in PART_SETS[:2]:
-        with pytest.raises(ValueError, match="lacks a part"):
-            (base * X).jet(x, x, known=known, parts=parts)
-
-
-@pytest.mark.parametrize("parts", [("u", "ux"), ("u", "ux", "uy", "uxy", "uxy"),
-                                   ("u", "ux", "uy", "uzz")])
-def test_parts_name_the_first_order_parts_and_known_ones_once(parts):
-    with pytest.raises(ValueError, match="parts must be"):
-        X.jet(np.zeros(3), np.zeros(3), parts=parts)
+    known = {base: base.jet(x, x, second=False)}.get
+    with pytest.raises(ValueError, match="lacks its second-order parts"):
+        (base * X).jet(x, x, known=known)
+    # asked for first order, the kept jet is used as it is
+    assert _same_jet((base * X).jet(x, x, known=known, second=False),
+                     (base * X).jet(x, x), FIRST_ORDER)
 
 
 def test_division_by_zero_in_the_last_block_raises():
@@ -144,13 +139,13 @@ def test_fine_level_jet_peak_memory_stays_near_its_output():
     dom = reference_domains()[0]
     u = manufactured(dom)
     fine, _ = quad.domain_grids(dom, QuadConfig())
-    for parts in (JET_PARTS, FIRST_ORDER):
+    for second in PARTS:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            j = u.jet(fine.x, fine.y, parts=parts)
+            j = u.jet(fine.x, fine.y, second=second)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        out = sum(getattr(j, k).nbytes for k in parts)
-        assert peak <= 1.5 * out, (parts, peak, out)
+        out = sum(getattr(j, k).nbytes for k in PARTS[second])
+        assert peak <= 1.5 * out, (second, peak, out)

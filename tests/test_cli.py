@@ -119,6 +119,23 @@ def test_verify_wrong_axis_anchor_is_config_error(capsys):
     assert "--x0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, fault", [
+    (["verify", "step1", "--panels", "2", "--rel-tol", "inf"], "tolerances"),
+    (["verify", "step1", "--panels", "2", "--abs-tol", "inf"], "tolerances"),
+    (["verify", "step2", "--nonlinearity", "power", "--alpha", "inf"], "alpha"),
+    (["verify", "step2", "--nonlinearity", "power", "--alpha", "nan"], "alpha"),
+    (["verify", "step1", "--x0", "nan"], "anchor"),
+    (["suite", "--m1", "1", "--m2", "4", "--x0", "nan"], "anchor"),
+    (["suite", "--m1", "1", "--m2", "4", "--x0", "inf"], "anchor"),
+], ids=["rel-tol-inf", "abs-tol-inf", "alpha-inf", "alpha-nan", "verify-x0-nan",
+        "suite-x0-nan", "suite-x0-inf"])
+def test_non_finite_inputs_are_config_errors(capsys, argv, fault):
+    # each would pass vacuously or be misdiagnosed; one error line names it
+    assert run(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {fault} must be finite"), line
+
+
 def test_verify_parity_violation_names_rule(capsys):
     rc = run(["verify", "step1", "--variant", "omega1", "--m1", "2",
               "--m2", "4", "--x0", "-0.5"])

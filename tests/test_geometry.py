@@ -316,6 +316,15 @@ def test_anchor_sign_enforced():
         omega1(1, 4, 0.0)
 
 
+@pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf])
+def test_non_finite_anchor_is_refused_before_the_sign_checks(anchor):
+    # a ValueError, not a DomainError: the suite files a DomainError as an
+    # inadmissible variant, which would misname the fault
+    for v in Variant:
+        with pytest.raises(ValueError, match="anchor must be finite"):
+            DomainSpec(v, OperatorParams(1, 4), anchor)
+
+
 def test_omega4_arc_is_fixed_segment():
     # the omega4 factory exposes no arc parameter; DomainSpec rejects one too
     with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ import pytest
 from tricomi import identities, quad
 from tricomi.errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                             PreconditionViolated)
-from tricomi.field import (JET_PARTS, X, Y, Const, SampleFn1D, ScalarField,
+from tricomi.field import (X, Y, Const, SampleFn1D, ScalarField,
                            VANISH_AC, manufactured)
 from tricomi.geometry import (BoundaryCurveId, ParametricArc, Point, Vec2,
                               omega1, omega4)
@@ -350,17 +350,18 @@ def test_identities_honor_quad_config():
 SMALL = QuadConfig(panels_per_axis=8)
 
 
-def _same_jet(a, b, parts):
-    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in parts)
+def _same_jet(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("u", "ux", "uy", "uxx", "uyy"))
 
 
 def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
     memos, found = [], []
     jet = ScalarField.jet
 
-    def spy(self, x, y, known=None, parts=JET_PARTS):
+    def spy(self, x, y, known=None, second=True):
         if known is None:
-            return jet(self, x, y, parts=parts)
+            return jet(self, x, y, second=second)
         memo = known.__self__          # known is a level memo's get
 
         def look(node):
@@ -370,7 +371,7 @@ def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
             return j
 
         memos.append(memo)
-        return jet(self, x, y, look, parts)
+        return jet(self, x, y, look, second)
 
     monkeypatch.setattr(ScalarField, "jet", spy)
     for dom in reference_domains():
@@ -384,9 +385,8 @@ def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
         assert base in found       # the base field's kept jet was reused
         assert memos == [g.memo for g, _, _ in levels]
         for g, j, _ in levels:
-            # an area level holds every part but the unread uxy
-            assert j.uxy is None
-            assert _same_jet(j, second.jet(g.x, g.y), identities._AREA_PARTS)
+            # an area level holds the second-order jet
+            assert _same_jet(j, second.jet(g.x, g.y))
 
 
 def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
@@ -396,10 +396,10 @@ def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
     sampled = []
     jet = ScalarField.jet
 
-    def spy(self, x, y, known=None, parts=JET_PARTS):
+    def spy(self, x, y, known=None, second=True):
         if np.size(x) == 100:          # the precondition's samples per piece
             sampled.append(self)
-        return jet(self, x, y, known, parts)
+        return jet(self, x, y, known, second)
 
     monkeypatch.setattr(ScalarField, "jet", spy)
     step1_residual(u, dom, SMALL)
@@ -448,5 +448,5 @@ def test_stored_jets_and_weights_are_read_only():
     for arr in (j.u, j.uxx, ym1, xm2, jc.u, jc.uy):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    # each level kind keeps the parts its densities read and no others
-    assert (j.uxy, jc.uxx, jc.uxy, jc.uyy) == (None,) * 4
+    # a curve level keeps the first-order jet its forms read and no more
+    assert (jc.uxx, jc.uyy) == (None, None)

@@ -138,10 +138,11 @@ def test_power_nonlinearity_odd_and_vectorized():
     assert np.all(Fv >= 0.0)
     for i, si in enumerate(s):
         assert fv[i] == pytest.approx(math.copysign(abs(si) ** 2.5, si))
-    with pytest.raises(ValueError):
-        power_nonlinearity(1.0)
-    with pytest.raises(ValueError):
-        power_nonlinearity(0.5)
+    # alpha = inf sends |s|**alpha to 0 for |s| < 1: every identity would
+    # compare 0 with 0
+    for bad in (1.0, 0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must"):
+            power_nonlinearity(bad)
 
 
 def test_linear_nonlinearity():

@@ -57,6 +57,11 @@ def test_quad_config_validation():
         QuadConfig(panels_per_axis=0)
     with pytest.raises(ValueError):
         QuadConfig(abs_tol=-1.0)
+    # an infinite or NaN tolerance would let every check pass
+    for bad in (math.inf, math.nan):
+        for tol in ("abs_tol", "rel_tol"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                QuadConfig(**{tol: bad})
 
 
 def test_residual_errors():
