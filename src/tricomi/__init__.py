@@ -25,11 +25,10 @@ from .field import (Const, Coord, Jet2, SampleFn1D, ScalarField, X, Y,
                     apply_X, dilate, directional_pm, energy_density, jet2,
                     manufactured, norm_density, parse_field, root_power,
                     substitute, to_prefix)
-from .quad import (CurveGridLevel, GridLevel, QuadConfig, Residual, box_grids,
-                   check_two_level, curve_grids, divergence_selftest,
-                   domain_grids, integrate_boundary, integrate_curve,
-                   integrate_domain, integrate_interval,
-                   integrate_neg_interval)
+from .quad import (GridLevel, QuadConfig, Residual, check_two_level,
+                   curve_grids, divergence_selftest, domain_grids,
+                   integrate_boundary, integrate_curve, integrate_domain,
+                   integrate_interval, integrate_neg_interval)
 from .identities import (HardyParams, IdentityReport, REPORT_PASS_RTOL,
                          SIGN_CLAIM_VARIANTS, boundary_energy_I,
                          equivalence_chain, hardy_GL, hardy_GL_numeric,

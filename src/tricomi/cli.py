@@ -391,6 +391,8 @@ def _cmd_hardy(args) -> int:
 
 def _cmd_suite(args) -> int:
     _require(args, "m1", "m2")
+    if not math.isfinite(args.x0):   # quoted as given, before its sign flips
+        raise ValueError(f"anchor must be finite, got {args.x0}")
     mag = abs(args.x0)
     if mag == 0:
         raise ValueError("anchor magnitude must be nonzero")

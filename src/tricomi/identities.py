@@ -26,7 +26,7 @@ from .errors import (DegenerateDenominator, NonConvergence, OutOfRange,
 from .field import (Jet2, SampleFn1D, ScalarField, D_from_jet, O_from_jet,
                     X_from_jet, dilate, energy_from_jet, jet2, norm_from_jet,
                     operator_weights, to_prefix)
-from .geometry import (BoundaryCurveId, DomainSpec, Point, Vec2,
+from .geometry import (AreaChart, BoundaryCurveId, DomainSpec, Point, Vec2,
                        boundary_charts, check_starshaped, omega1, omega2,
                        omega3, omega4)
 from .params import (Coefficients, NonlinearitySpec, OperatorParams,
@@ -205,13 +205,13 @@ _curve_jets = _LevelJets(lambda domain, curve_id, cfg:
 
 
 def _area_functional(u, domain, cfg, density) -> float:
-    fine, coarse = (quad._level_sum([density(j, g.x, g.y, w)], [g.w])
+    fine, coarse = (quad._level_sum([density(j, g.x, g.y, w)], g.weights)
                     for g, j, w in _area_jets(u, domain, cfg))
     return check_two_level(fine, coarse, cfg, "area functional")
 
 
 def _curve_functional(u, domain, curve_id, cfg, form) -> float:
-    fine, coarse = (quad._level_sum(form(j, g.x, g.y, w), (g.wx, g.wy))
+    fine, coarse = (quad._level_sum(form(j, g.x, g.y, w), g.weights)
                     for g, j, w in _curve_jets(u, domain, curve_id, cfg))
     return check_two_level(fine, coarse, cfg, f"curve functional on {curve_id.value}")
 
@@ -483,16 +483,31 @@ def sigma_sign_report(u: ScalarField, domain: DomainSpec,
 # ---------------------------------------------------------------------------
 # scaling ratios
 
+@dataclass(frozen=True)
+class _Box:
+    """The box [-lx, lx] x [-ly, ly] as an area region, one chart per sign
+    quadrant so |x|, |y| weights stay smooth per chart."""
+    lx: float
+    ly: float
+
+    def area_charts(self) -> list[AreaChart]:
+        def quadrant(sx, sy, lx=self.lx, ly=self.ly):
+            return AreaChart(f"{sx:+.0f}{sy:+.0f}",
+                             lambda U, V: (sx * lx * U, sy * ly * V, lx * ly))
+
+        return [quadrant(sx, sy) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
+
+
 @lru_cache(maxsize=32)
 def _box_sums(u: ScalarField, lx: float, ly: float, pexp: float,
               params: OperatorParams, cfg: QuadConfig):
     """(fine, coarse) sums of |u|**pexp and of the weighted-gradient density
     over the box [-lx, lx] x [-ly, ly], both reduced from one jet per level."""
     lp, grad = [], []
-    for g in quad.box_grids(lx, ly, cfg):
+    for g in quad.domain_grids(_Box(lx, ly), cfg):
         j = u.jet(g.x, g.y, second=False)
-        lp.append(quad._level_sum([np.abs(j.u) ** pexp], [g.w]))
-        grad.append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)], [g.w]))
+        lp.append(quad._level_sum([np.abs(j.u) ** pexp], g.weights))
+        grad.append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)], g.weights))
     return tuple(lp), tuple(grad)
 
 
@@ -502,7 +517,10 @@ def scaling_ratios(u: ScalarField, lam: float, pexp: float,
     integrating u over the unit box and u_lam over its dilated image (the
     exact change of variables, so the expected ratios are lam**kappa and
     lam**mu)."""
-    if not (lam > 0 and math.isfinite(lam)):
+    for name, value in (("lam", lam), ("pexp", pexp)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not lam > 0:
         raise ValueError("lam must be positive")
     if not pexp >= 1:
         raise ValueError("pexp must be >= 1")
@@ -547,6 +565,8 @@ class HardyParams:
     y_c: float = -1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.y_c):
+            raise ValueError(f"y_c must be finite, got {self.y_c}")
         if not (1.0 < self.p <= self.q and math.isfinite(self.q)):
             raise ValueError("need 1 < p <= q < infinity")
         if not self.y_c < 0:

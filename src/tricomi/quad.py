@@ -24,14 +24,12 @@ __all__ = [
     "QuadConfig",
     "Residual",
     "GridLevel",
-    "CurveGridLevel",
     "integrate_interval",
     "integrate_neg_interval",
     "integrate_domain",
     "integrate_curve",
     "integrate_boundary",
     "domain_grids",
-    "box_grids",
     "curve_grids",
     "check_two_level",
     "error_scale",
@@ -115,8 +113,10 @@ def _level_sum(parts, weights) -> float:
     """sum_k sum_i parts[k][i] * weights[k][i] over one grid level: one
     whole-array sum per part, added part by part in order to the first
     part's sum (never to an extra +0.0, which would flip a -0.0).  A part
-    may be a scalar, which broadcasts against its weights."""
-    sums = [np.sum(np.asarray(p, float) * w) for p, w in zip(parts, weights)]
+    may be a scalar, which broadcasts against its weights.  There is one
+    part per weight: a 1-form on an area level raises ValueError."""
+    sums = [np.sum(np.asarray(p, float) * w)
+            for p, w in zip(parts, weights, strict=True)]
     return float(sum(sums[1:], sums[0]))
 
 
@@ -144,18 +144,12 @@ def integrate_neg_interval(f, y_lo: float, cfg: QuadConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridLevel:
+    """Nodes of one grid level and the weights a level sum pairs with its
+    parts: (w,) on an area level, (w dx/dtau, w dy/dtau) on a boundary
+    level, where the parts are a 1-form's (P, Q)."""
     x: np.ndarray
     y: np.ndarray
-    w: np.ndarray
-    memo: dict = field(default_factory=dict, repr=False)  # jets, weights on x, y
-
-
-@dataclass(frozen=True, eq=False)
-class CurveGridLevel:
-    x: np.ndarray
-    y: np.ndarray
-    wx: np.ndarray  # weight times dx/dtau (oriented)
-    wy: np.ndarray  # weight times dy/dtau
+    weights: tuple
     memo: dict = field(default_factory=dict, repr=False)  # jets, weights on x, y
 
 
@@ -171,10 +165,10 @@ def _tensor_level(maps, order: int, panels: int) -> GridLevel:
         xs.append(np.asarray(Xc, float).ravel())
         ys.append(np.asarray(Yc, float).ravel())
         ws.append((np.asarray(J, float) * W2).ravel())
-    return GridLevel(np.concatenate(xs), np.concatenate(ys), np.concatenate(ws))
+    return GridLevel(np.concatenate(xs), np.concatenate(ys), (np.concatenate(ws),))
 
 
-def _curve_level(charts, order: int, panels: int) -> CurveGridLevel:
+def _curve_level(charts, order: int, panels: int) -> GridLevel:
     xs, ys, wxs, wys = [], [], [], []
     for chart in charts:
         t, w = _panel_nodes(chart.lo, chart.hi, order, panels)
@@ -183,38 +177,24 @@ def _curve_level(charts, order: int, panels: int) -> CurveGridLevel:
         ys.append(np.broadcast_to(np.asarray(y, float), t.shape).ravel())
         wxs.append((np.broadcast_to(np.asarray(dx, float), t.shape) * w).ravel())
         wys.append((np.broadcast_to(np.asarray(dy, float), t.shape) * w).ravel())
-    return CurveGridLevel(np.concatenate(xs), np.concatenate(ys),
-                          np.concatenate(wxs), np.concatenate(wys))
+    return GridLevel(np.concatenate(xs), np.concatenate(ys),
+                     (np.concatenate(wxs), np.concatenate(wys)))
 
 
-# A domain is anything with area_charts() and boundary_charts():
-# a DomainSpec, or a test region.  Commands work on one domain at a time,
-# so one grid pair is kept; its levels and their memos go with the next one.
+# An area region is anything with area_charts(): a DomainSpec, the scaling
+# box or a test region.  Commands work on one region at a time, so one grid
+# pair is kept; its levels and their memos go with the next one.
 
 @lru_cache(maxsize=1)
 def domain_grids(domain, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
-    """(fine, coarse) tensor grids covering the domain, weights included."""
+    """(fine, coarse) tensor grids covering the region, weights included."""
     maps = [chart.fn for chart in domain.area_charts()]
-    return _two_levels(lambda panels: _tensor_level(maps, cfg.gauss_order, panels), cfg)
-
-
-def _quadrant(sx: float, sy: float, lx: float, ly: float):
-    def fn(U, V):
-        return sx * lx * U, sy * ly * V, lx * ly
-
-    return fn
-
-
-def box_grids(lx: float, ly: float, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
-    """(fine, coarse) grids on the box [-lx, lx] x [-ly, ly], one chart per
-    sign quadrant so |x|, |y| weights stay smooth per chart."""
-    maps = [_quadrant(sx, sy, lx, ly) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
     return _two_levels(lambda panels: _tensor_level(maps, cfg.gauss_order, panels), cfg)
 
 
 @lru_cache(maxsize=128)
 def curve_grids(domain, curve_id: BoundaryCurveId | None,
-                cfg: QuadConfig) -> tuple[CurveGridLevel, CurveGridLevel]:
+                cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
     """(fine, coarse) nodes on one boundary piece, or on the whole positively
     oriented loop when curve_id is None."""
     charts = [c for c in domain.boundary_charts()
@@ -260,14 +240,14 @@ def _eval_on(g, x, y):
 
 def integrate_domain(g, domain, cfg: QuadConfig) -> float:
     """Two-level area integral of a pointwise density g(x, y)."""
-    fine, coarse = (_level_sum([_eval_on(g, lv.x, lv.y)], [lv.w])
+    fine, coarse = (_level_sum([_eval_on(g, lv.x, lv.y)], lv.weights)
                     for lv in domain_grids(domain, cfg))
     return check_two_level(fine, coarse, cfg, "area integral")
 
 
 def _form_integral(form, domain, curve_id, cfg: QuadConfig, what: str) -> float:
     # form(x, y) -> (P, Q), summed as P dx + Q dy on each level
-    fine, coarse = (_level_sum(form(lv.x, lv.y), (lv.wx, lv.wy))
+    fine, coarse = (_level_sum(form(lv.x, lv.y), lv.weights)
                     for lv in curve_grids(domain, curve_id, cfg))
     return check_two_level(fine, coarse, cfg, what)
 

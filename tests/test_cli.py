@@ -127,13 +127,24 @@ def test_verify_wrong_axis_anchor_is_config_error(capsys):
     (["verify", "step1", "--x0", "nan"], "anchor"),
     (["suite", "--m1", "1", "--m2", "4", "--x0", "nan"], "anchor"),
     (["suite", "--m1", "1", "--m2", "4", "--x0", "inf"], "anchor"),
+    (["scaling", "--m1", "1", "--m2", "4", "--p", "inf"], "pexp"),
+    (["scaling", "--m1", "1", "--m2", "4", "--p", "nan"], "pexp"),
+    (["scaling", "--m1", "1", "--m2", "4", "--lam", "inf"], "lam"),
+    (["scaling", "--m1", "1", "--m2", "4", "--lam", "nan"], "lam"),
+    # a separate -inf would be read as an option
+    (["hardy", "--m1", "1", "--m2", "4", "--y-c=-inf"], "y_c"),
 ], ids=["rel-tol-inf", "abs-tol-inf", "alpha-inf", "alpha-nan", "verify-x0-nan",
-        "suite-x0-nan", "suite-x0-inf"])
-def test_non_finite_inputs_are_config_errors(capsys, argv, fault):
+        "suite-x0-nan", "suite-x0-inf", "scaling-p-inf", "scaling-p-nan",
+        "scaling-lam-inf", "scaling-lam-nan", "hardy-y-c-inf"])
+def test_non_finite_inputs_are_config_errors(capsys, monkeypatch, tmp_path,
+                                             argv, fault):
     # each would pass vacuously or be misdiagnosed; one error line names it
+    monkeypatch.chdir(tmp_path)   # a failed scaling run writes its report
     assert run(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {fault} must be finite"), line
+    if fault != "tolerances":   # the one message that quotes both values
+        assert line.endswith(f"got {argv[-1].split('=')[-1]}"), line
 
 
 def test_verify_parity_violation_names_rule(capsys):

@@ -438,6 +438,14 @@ def test_jets_are_released_with_their_domain():
     again = identities._area_jets(manufactured(dom), dom, SMALL)
     assert identities._area_jets.cache_info().misses == misses + 1
     assert np.array_equal(again[0][1].u, first)
+    # the scaling boxes take the one kept grid pair too, so the domain's
+    # levels and their jets go when a box is built
+    kept = weakref.ref(again[0][1].u)
+    del again
+    identities._box_sums.cache_clear()
+    scaling_ratios(BUMP, 2.0, 4.0, coefficients(dom.params), SMALL)
+    assert kept() is None
+    assert quad.domain_grids.cache_info().currsize == 1
 
 
 def test_stored_jets_and_weights_are_read_only():

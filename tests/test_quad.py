@@ -114,6 +114,11 @@ def test_level_sum_equals_whole_array_sums_bit_for_bit():
     z = _level_sum((zeros, -0.0), (ones, ones))
     ref = float(np.sum(zeros * ones) + np.sum(np.broadcast_to(-0.0, 4) * ones))
     assert z == ref and math.copysign(1.0, z) == math.copysign(1.0, ref)
+    # a 1-form summed on an area level, or a density on a boundary level,
+    # would drop a part; one part per weight is required
+    for parts, weights in (((p, q), (w,)), ((f,), (wx, wy))):
+        with pytest.raises(ValueError):
+            _level_sum(parts, weights)
 
 
 def test_interval_gauss_exactness():
