@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegeneracyLine, DomainError, OutOfRange
 from .geometry import DomainSpec, EllipticArc, ParametricArc, Point, Variant, Vec2
-from .params import Coefficients, OperatorParams, coefficients
+from .params import Coefficients, OperatorParams, _ipow, coefficients
 from .quad import _blockwise
 
 __all__ = [
@@ -335,10 +335,10 @@ class IPow(ScalarField):
         s = j.u
         if n < 0 and np.any(s == 0.0):
             raise DomainError("negative power of a vanishing field")
-        g = s ** n
-        g1 = n * s ** (n - 1)
+        g = _ipow(s, n)
+        g1 = n * _ipow(s, n - 1)
         return _chain(j, g, g1, lambda: np.zeros_like(s) if n == 1
-                      else n * (n - 1) * s ** (n - 2), second)
+                      else n * (n - 1) * _ipow(s, n - 2), second)
 
     def diff(self, var):
         if self.n == 0:
@@ -454,7 +454,7 @@ def operator_weights(params: OperatorParams, x, y):
     """(y**m1, x**m2), the coefficients O, X and E put on the jet.  A caller
     evaluating several densities on the same points computes them once and
     passes them on as weights."""
-    return y ** params.m1, x ** params.m2
+    return _ipow(y, params.m1), _ipow(x, params.m2)
 
 
 def O_from_jet(params: OperatorParams, j: Jet2, x, y, weights=None):

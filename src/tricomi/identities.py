@@ -506,8 +506,11 @@ def _box_sums(u: ScalarField, lx: float, ly: float, pexp: float,
     lp, grad = [], []
     for g in quad.domain_grids(_Box(lx, ly), cfg):
         j = u.jet(g.x, g.y, second=False)
-        lp.append(quad._level_sum([np.abs(j.u) ** pexp], g.weights))
-        grad.append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)], g.weights))
+        # a sum that overflows is inf, which check_two_level reports
+        with np.errstate(over="ignore"):
+            lp.append(quad._level_sum([np.abs(j.u) ** pexp], g.weights))
+            grad.append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)],
+                                        g.weights))
     return tuple(lp), tuple(grad)
 
 
@@ -660,11 +663,21 @@ def hardy_constants(params: OperatorParams, pq: HardyParams) -> dict:
         m_l = None
     n = 10_000
     half = n // 2
+    if not -pq.y_c * 1e-18 > 0:
+        raise OutOfRange(f"y_c = {pq.y_c} is out of range: the grid toward 0 "
+                         "underflows to 0")
     xs = np.concatenate([
         np.linspace(pq.y_c * (1.0 - 0.5 / half), pq.y_c / 2.0, half),
         -np.geomspace(-pq.y_c / 2.0, -pq.y_c * 1e-18, n - half),
     ])
-    grid_sup = float(np.max(_mucken_product_grid(params, pq, xs)))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid_sup = float(np.max(_mucken_product_grid(params, pq, xs)))
+    except OverflowError:   # a Python float power of -y_c, as for y_c = -1e-300
+        grid_sup = math.inf
+    if not math.isfinite(grid_sup):
+        raise OutOfRange(f"y_c = {pq.y_c} is out of range: the grid supremum "
+                         f"is {grid_sup}")
     if exact22:
         if abs(grid_sup - float(m_l)) > 1e-8 * max(1.0, float(m_l)):
             raise NonConvergence(

@@ -138,8 +138,30 @@ class NonlinearitySpec:
     alpha: float | None = None
 
 
+def _ipow(s, n: int):
+    """s**n for an integer n, for arrays and scalars of either sign.
+
+    numpy's float64 power is many times slower on a negative base than on a
+    positive one, and these bases (y on the hyperbolic side, x left of the
+    axis, a field of either sign) are often negative.  So for |n| >= 3 the
+    power is taken of |s|, in place in one new array, and copysign puts the
+    sign back for odd n; s itself is never written.  For |n| <= 2 numpy has
+    fast paths and s ** n is returned as it is."""
+    if -2 <= n <= 2:
+        return s ** n
+    if isinstance(s, np.ndarray) and s.ndim:
+        a = np.abs(s)
+        np.power(a, n, out=a)
+        return np.copysign(a, s, out=a) if n % 2 else a
+    a = abs(s) ** n   # a Python float stays one, with Python's overflow rule
+    if n % 2 == 0:
+        return a
+    return math.copysign(a, s) if type(a) is float else np.copysign(a, s)
+
+
 def cubic_nonlinearity() -> NonlinearitySpec:
-    return NonlinearitySpec("cubic", f=lambda s: s**3, F=lambda s: s**4 / 4)
+    return NonlinearitySpec("cubic", f=lambda s: _ipow(s, 3),
+                            F=lambda s: _ipow(s, 4) / 4)
 
 
 def power_nonlinearity(alpha: float = 3.0) -> NonlinearitySpec:

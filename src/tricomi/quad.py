@@ -47,8 +47,9 @@ class QuadConfig:
     def __post_init__(self):
         if not (isinstance(self.gauss_order, int) and self.gauss_order >= 2):
             raise ValueError("gauss_order must be an integer >= 2")
-        if not (isinstance(self.panels_per_axis, int) and self.panels_per_axis >= 1):
-            raise ValueError("panels_per_axis must be an integer >= 1")
+        # at 1 panel both levels are one grid, so a two-level check tests nothing
+        if not (isinstance(self.panels_per_axis, int) and self.panels_per_axis >= 2):
+            raise ValueError("panels_per_axis must be an integer >= 2")
         # an infinite or NaN tolerance would let every check pass
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError(f"tolerances must be finite and positive, got "
@@ -57,7 +58,7 @@ class QuadConfig:
     @property
     def levels(self) -> tuple[int, int]:
         """(fine, coarse) panels per axis of every two-level grid and sum."""
-        return self.panels_per_axis, max(1, self.panels_per_axis // 2)
+        return self.panels_per_axis, self.panels_per_axis // 2
 
 
 def error_scale(a: float, b: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,34 @@ def test_non_finite_inputs_are_config_errors(capsys, monkeypatch, tmp_path,
     assert line.startswith(f"error: {fault} must be finite"), line
     if fault != "tolerances":   # the one message that quotes both values
         assert line.endswith(f"got {argv[-1].split('=')[-1]}"), line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scaling", "--m1", "1", "--m2", "4", "--p", "1e6"],
+     "error: box integral is not finite: inf vs inf"),
+    (["hardy", "--m1", "1", "--m2", "4", "--y-c=-1e308"],
+     "error: y_c = -1e+308 is out of range"),
+    (["hardy", "--m1", "1", "--m2", "4", "--y-c=-1e-300"],
+     "error: y_c = -1e-300 is out of range"),
+    (["hardy", "--m1", "1", "--m2", "4", "--y-c=-1e-320"],
+     "error: y_c = -1e-320 is out of range"),
+    (["verify", "step1", "--panels", "1"],
+     "error: panels_per_axis must be an integer >= 2"),
+], ids=["scaling-p-overflows", "hardy-y-c-huge", "hardy-y-c-tiny",
+        "hardy-y-c-subnormal", "panels-1"])
+def test_out_of_range_inputs_give_one_error_line(capsys, argv, message):
+    # one error line, no numpy warning before it and no NaN record after it
+    rep = "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--report", rep]) == 2
+    assert caught == []
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(message), line
+    if os.path.exists(rep):
+        def refuse(name):
+            raise AssertionError(f"{name} in a report file")
+        assert json.loads(Path(rep).read_text(), parse_constant=refuse)["reports"] == []
 
 
 def test_verify_parity_violation_names_rule(capsys):
@@ -504,13 +533,16 @@ def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
 
 
 def test_nonconvergence_report_keeps_its_fields(tmp_path):
+    # 4 panels are too few for the self-test's area integral on this domain
     rep = tmp_path / "r.json"
     assert run(["verify", "step2", "--variant", "omega1", "--m1", "3",
-                "--m2", "12", "--x0", "-1", "--report", str(rep)]) == 2
+                "--m2", "12", "--x0", "-1", "--panels", "4",
+                "--report", str(rep)]) == 2
     doc = json.loads(rep.read_text())
-    assert doc["error"].startswith("NonConvergence: curve functional on BC ")
-    assert doc["error_fields"] == {"what": "curve functional on BC", "fine": 0.0,
-                                   "coarse": -0.00048828125, "panels": [32, 16]}
+    assert doc["error"].startswith("NonConvergence: area integral ")
+    assert doc["error_fields"] == {"what": "area integral",
+                                   "fine": 7.4613384355543015,
+                                   "coarse": 7.46133948440934, "panels": [4, 2]}
 
 
 def test_nonfinite_nonconvergence_fields_stay_strict_json(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from tricomi.field import (Const, Coord, Jet2, OddRootPow, SampleFn1D,
 from tricomi.geometry import (BoundaryCurveId, Point, boundary_charts,
                               curve_point, natural_range, omega1, omega3,
                               omega4)
-from tricomi.params import OperatorParams, coefficients
+from tricomi.params import OperatorParams, _ipow, coefficients
 from tricomi.quad import QuadConfig, domain_grids
 
 
@@ -360,6 +360,60 @@ def test_ipow_negative_base_zero():
     with pytest.raises(DomainError):
         jet2(u, Point(0.0, 0.5))
     assert jet2(u, Point(2.0, 0.0)).u == pytest.approx(0.25)
+
+
+def test_int_power_matches_pow_on_nonnegative_bases():
+    s = np.concatenate([[0.0, 5e-324, 1.0], np.random.default_rng(3).uniform(0, 3, 997)])
+    for n in (3, 4, 7):
+        assert np.array_equal(_ipow(s, n), s ** n)
+
+
+def test_int_power_is_exactly_odd_or_even():
+    s = np.random.default_rng(4).uniform(0, 3, 1000)
+    for n in (3, 5, 7, -3):
+        assert np.array_equal(_ipow(-s, n), -_ipow(s, n))
+    for n in (4, 6, -4):
+        assert np.array_equal(_ipow(-s, n), _ipow(s, n))
+
+
+def test_int_power_special_values_and_scalars():
+    s = np.array([-0.0, 0.0, -np.inf, np.inf, np.nan, -2.0])
+    odd, even = _ipow(s, 3), _ipow(s, 4)
+    assert np.array_equal(odd, s ** 3, equal_nan=True)
+    assert np.array_equal(np.signbit(odd), np.signbit(s ** 3))
+    assert np.array_equal(even, s ** 4, equal_nan=True)
+    assert not np.signbit(even[~np.isnan(even)]).any()
+    # 0-d arrays give what s ** n gives; a Python float stays a Python float
+    for n in (3, 4, -3):
+        zero_d = np.array(-2.0)
+        assert _ipow(zero_d, n) == zero_d ** n
+        assert type(_ipow(zero_d, n)) is type(zero_d ** n)
+        assert _ipow(-2.0, n) == (-2.0) ** n and type(_ipow(-2.0, n)) is float
+    assert math.copysign(1.0, _ipow(-0.0, 3)) == -1.0
+    assert math.isnan(_ipow(math.nan, 3))
+    assert _ipow(-math.inf, 3) == -math.inf
+    # |n| <= 2 is numpy's own fast path
+    assert np.array_equal(_ipow(s[5:], 2), s[5:] ** 2)
+
+
+def test_int_power_leaves_a_read_only_input_alone():
+    s = np.random.default_rng(5).uniform(-2, 2, 100)
+    s.setflags(write=False)
+    kept = s.copy()
+    for n in (3, 4, -3, 7):
+        out = _ipow(s, n)
+        assert out is not s and out.flags.writeable
+    assert np.array_equal(s, kept)
+
+
+def test_ipow_jets_are_exactly_odd_or_even():
+    x = np.random.default_rng(6).uniform(0.1, 2.0, 500)
+    y = np.zeros_like(x)
+    for n in (3, 7):
+        pos, neg = (X ** n).jet(x, y), (X ** n).jet(-x, y)
+        assert np.array_equal(neg.u, -pos.u)
+        assert np.array_equal(neg.ux, pos.ux)
+        assert np.array_equal(neg.uxx, -pos.uxx)
 
 
 def test_root_power_odd_convention():

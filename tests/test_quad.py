@@ -50,11 +50,13 @@ def test_quad_config_validation():
     assert cfg.gauss_order == 16 and cfg.panels_per_axis == 32
     assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-9
     assert cfg.levels == (32, 16)
-    assert QuadConfig(panels_per_axis=1).levels == (1, 1)
+    assert QuadConfig(panels_per_axis=2).levels == (2, 1)
     with pytest.raises(ValueError):
         QuadConfig(gauss_order=0)
-    with pytest.raises(ValueError):
-        QuadConfig(panels_per_axis=0)
+    # at 1 panel both levels would be one grid, a check that tests nothing
+    for panels in (0, 1):
+        with pytest.raises(ValueError, match=">= 2"):
+            QuadConfig(panels_per_axis=panels)
     with pytest.raises(ValueError):
         QuadConfig(abs_tol=-1.0)
     # an infinite or NaN tolerance would let every check pass
@@ -123,7 +125,7 @@ def test_level_sum_equals_whole_array_sums_bit_for_bit():
 
 def test_interval_gauss_exactness():
     # order-2 Gauss integrates cubics exactly
-    cfg = QuadConfig(gauss_order=2, panels_per_axis=1)
+    cfg = QuadConfig(gauss_order=2, panels_per_axis=2)
     got = integrate_interval(lambda t: t ** 3, 0.0, 1.0, cfg)
     assert got == pytest.approx(0.25, abs=1e-15)
     got = integrate_interval(lambda t: 3 * t ** 2 - t, -1.0, 2.0, cfg)
