@@ -146,7 +146,7 @@ class ScalarField:
         raise NotImplementedError
 
     def __call__(self, x, y):
-        return self.jet(x, y).u
+        return self.jet(x, y, second=False).u
 
     def __add__(self, other):
         return Add(self, _as_field(other))
@@ -451,19 +451,18 @@ def jet2(u: ScalarField, p: Point) -> Jet2:
 
 
 def operator_weights(params: OperatorParams, x, y):
-    """(y**m1, x**m2), the coefficients O, X and E put on the jet.  A caller
-    evaluating several densities on the same points computes them once and
-    passes them on as weights."""
+    """(y**m1, x**m2), the weights O, X and E put on the jet.  A grid level
+    keeps them for its nodes; a point helper computes them for its point."""
     return _ipow(y, params.m1), _ipow(x, params.m2)
 
 
-def O_from_jet(params: OperatorParams, j: Jet2, x, y, weights=None):
-    ym1, xm2 = operator_weights(params, x, y) if weights is None else weights
+def O_from_jet(j: Jet2, weights):
+    ym1, xm2 = weights
     return -ym1 * j.uxx - xm2 * j.uyy
 
 
-def X_from_jet(params: OperatorParams, j: Jet2, x, y, weights=None):
-    ym1, xm2 = operator_weights(params, x, y) if weights is None else weights
+def X_from_jet(j: Jet2, weights):
+    ym1, xm2 = weights
     return -ym1 * j.ux, -xm2 * j.uy
 
 
@@ -471,8 +470,8 @@ def D_from_jet(coeffs: Coefficients, j: Jet2, x, y):
     return -coeffs.c1 * x * j.ux - coeffs.c2 * y * j.uy
 
 
-def energy_from_jet(params: OperatorParams, j: Jet2, x, y, weights=None):
-    ym1, xm2 = operator_weights(params, x, y) if weights is None else weights
+def energy_from_jet(j: Jet2, weights):
+    ym1, xm2 = weights
     return ym1 * j.ux ** 2 + xm2 * j.uy ** 2
 
 
@@ -482,12 +481,12 @@ def norm_from_jet(params: OperatorParams, j: Jet2, x, y):
 
 def apply_O(params: OperatorParams, u: ScalarField, p: Point) -> float:
     """-y^m1 uxx - x^m2 uyy at p."""
-    return float(O_from_jet(params, jet2(u, p), p.x, p.y))
+    return float(O_from_jet(jet2(u, p), operator_weights(params, p.x, p.y)))
 
 
 def apply_X(params: OperatorParams, u: ScalarField, p: Point) -> Vec2:
     """The flux field (-y^m1 ux, -x^m2 uy) at p."""
-    vx, vy = X_from_jet(params, jet2(u, p), p.x, p.y)
+    vx, vy = X_from_jet(jet2(u, p), operator_weights(params, p.x, p.y))
     return Vec2(float(vx), float(vy))
 
 
@@ -498,7 +497,7 @@ def apply_D(coeffs: Coefficients, u: ScalarField, p: Point) -> float:
 
 def energy_density(params: OperatorParams, u: ScalarField, p: Point) -> float:
     """y^m1 ux^2 + x^m2 uy^2 (sign-indefinite on the hyperbolic side)."""
-    return float(energy_from_jet(params, jet2(u, p), p.x, p.y))
+    return float(energy_from_jet(jet2(u, p), operator_weights(params, p.x, p.y)))
 
 
 def norm_density(params: OperatorParams, u: ScalarField, p: Point) -> float:
@@ -528,10 +527,9 @@ VANISH_AC = "AC_only"
 VANISH_AC_SIGMA = "AC_and_sigma"
 
 
-def manufactured(domain: DomainSpec, vanish_on: str = VANISH_AC_SIGMA,
-                 seed: ScalarField | float | None = None) -> ScalarField:
+def manufactured(domain: DomainSpec, vanish_on: str = VANISH_AC_SIGMA) -> ScalarField:
     """Smooth field vanishing on AC (and optionally on sigma), built from
-    the defining polynomial of each curve.  seed multiplies the result."""
+    the defining polynomial of each curve."""
     if vanish_on not in (VANISH_AC, VANISH_AC_SIGMA):
         raise ValueError(f"vanish_on must be {VANISH_AC!r} or {VANISH_AC_SIGMA!r}")
     co = coefficients(domain.params)
@@ -548,8 +546,6 @@ def manufactured(domain: DomainSpec, vanish_on: str = VANISH_AC_SIGMA,
     u: ScalarField = g
     if vanish_on == VANISH_AC_SIGMA:
         u = Mul(u, _sigma_cutoff(domain))
-    if seed is not None:
-        u = Mul(u, _as_field(seed))
     return u
 
 

@@ -110,21 +110,18 @@ class EllipticArc:
 @dataclass(frozen=True, eq=False)
 class ParametricArc:
     """User-supplied arc t in [t_lo, t_hi] -> (x, y), traversed in the
-    variant's positive sigma direction.  dfn is the derivative; a central
-    difference is used when absent."""
+    variant's positive sigma direction.  Its derivative is a central
+    difference."""
 
     fn: Callable
     t_lo: float
     t_hi: float
-    dfn: Callable | None = None
 
     def __post_init__(self):
         if not self.t_hi > self.t_lo:
             raise ValueError("need t_hi > t_lo")
 
     def deriv(self, t):
-        if self.dfn is not None:
-            return self.dfn(t)
         h = 1e-6 * (self.t_hi - self.t_lo)
         xp, yp = self.fn(t + h)
         xm, ym = self.fn(t - h)
@@ -367,26 +364,30 @@ def _characteristics(domain: DomainSpec) -> _Table:
 
 
 def _sigma(domain: DomainSpec) -> _Piece:
-    """sigma in its own parameter, traversed positively."""
+    """sigma in its own parameter, traversed positively, on its natural
+    range: the omega4 segment, a parametric arc, the omega3 arc or the
+    upper elliptic arc of omega1/omega2."""
     arc = domain.arc
-    lo, hi = natural_range(domain, BoundaryCurveId.SIGMA)
     if arc is None:
         # omega4: the segment x = 0 from B'' down to A''
         def fn(s):
             s = np.asarray(s, float)
             return np.zeros_like(s), -s, np.zeros_like(s), -np.ones_like(s)
-    elif isinstance(arc, ParametricArc):
+        return _Piece(fn, 0.0, -2.0 * domain.anchor, 1)
+    if isinstance(arc, ParametricArc):
         def fn(s):
             s = np.asarray(s, float)
             return tuple(np.asarray(v, float) for v in (*arc.fn(s), *arc.deriv(s)))
-    else:
-        cx, cy = arc.center.x, arc.center.y
-        a, b = arc.semi_axes
+        return _Piece(fn, arc.t_lo, arc.t_hi, 1)
+    cx, cy = arc.center.x, arc.center.y
+    a, b = arc.semi_axes
 
-        def fn(s):
-            s = np.asarray(s, float)
-            return cx + a * np.cos(s), cy + b * np.sin(s), -a * np.sin(s), b * np.cos(s)
-    return _Piece(fn, lo, hi, 1)
+    def fn(s):
+        s = np.asarray(s, float)
+        return cx + a * np.cos(s), cy + b * np.sin(s), -a * np.sin(s), b * np.cos(s)
+    if domain.variant is Variant.OMEGA3:
+        return _Piece(fn, math.pi / 2.0, 3.0 * math.pi / 2.0, 1)
+    return _Piece(fn, 0.0, math.pi, 1)
 
 
 def _natural(domain: DomainSpec, curve: BoundaryCurveId) -> _Piece:
@@ -412,16 +413,10 @@ def _natural(domain: DomainSpec, curve: BoundaryCurveId) -> _Piece:
 def natural_range(domain: DomainSpec, curve: BoundaryCurveId) -> tuple[float, float]:
     """Natural parameter interval: y in [y_c, 0] (omega1/2 characteristics),
     x in [0, x_c] (omega3/4), the arc parameter for sigma."""
-    v = domain.variant
     if curve is BoundaryCurveId.SIGMA:
-        if v is Variant.OMEGA4:
-            return 0.0, -2.0 * domain.anchor
-        if isinstance(domain.arc, ParametricArc):
-            return domain.arc.t_lo, domain.arc.t_hi
-        if v is Variant.OMEGA3:
-            return math.pi / 2.0, 3.0 * math.pi / 2.0
-        return 0.0, math.pi
-    if v in (Variant.OMEGA1, Variant.OMEGA2):
+        sigma = _sigma(domain)
+        return sigma.lo, sigma.hi
+    if domain.variant in (Variant.OMEGA1, Variant.OMEGA2):
         return domain.apex.y, 0.0
     return 0.0, domain.apex.x
 
@@ -618,8 +613,7 @@ class StarlikeReport:
     flow_contained: bool = True
 
 
-def check_starshaped(domain: DomainSpec, n_samples: int = 256,
-                     tol: float = 1e-9) -> StarlikeReport:
+def check_starshaped(domain: DomainSpec, n_samples: int = 256) -> StarlikeReport:
     """Sample c1*x*dy - c2*y*dx along the positively oriented boundary and
     flow boundary points forward, checking containment."""
     if n_samples < 8:
@@ -646,7 +640,7 @@ def check_starshaped(domain: DomainSpec, n_samples: int = 256,
                     yield flow(Point(float(xi), float(yi)), t, co)
 
     contained = all(contains(domain, q, tol=1e-7) for q in flowed_points())
-    ok = worst >= -tol and contained
+    ok = worst >= -1e-9 and contained
     return StarlikeReport(min_form=worst, is_starlike=ok,
                           worst_point=worst_pt, flow_contained=contained)
 

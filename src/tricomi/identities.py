@@ -264,7 +264,7 @@ def _gate(u, domain, cfg, what, curves=_AC_SIGMA, nonlin=None):
     """The preconditions of an identity, in order: a sound divergence
     self-test (charts, weights and orientation are trusted only then),
     F(0) = 0 when a nonlinearity enters, u = 0 on curves.  Returns the
-    domain's params and coefficients."""
+    domain's coefficients."""
     r = _ensure_oriented(domain, cfg)
     gate = max(1e-8, 10.0 * cfg.rel_tol)
     if r.rel_err > gate:
@@ -274,19 +274,19 @@ def _gate(u, domain, cfg, what, curves=_AC_SIGMA, nonlin=None):
     if nonlin is not None and abs(float(nonlin.F(0.0))) > 1e-14:
         raise PreconditionViolated(f"nonlinearity {nonlin.name!r} needs F(0) = 0")
     _require_vanishing(u, domain, curves, what)
-    return domain.params, coefficients(domain.params)
+    return coefficients(domain.params)
 
 
 # ---------------------------------------------------------------------------
 # the boundary 1-forms
 
-def _w1_form(params, co):
+def _w1_form(co):
     c1, c2 = co.c1, co.c2
 
     def form(j, x, y, w):
-        xu_x, xu_y = X_from_jet(params, j, x, y, w)
+        xu_x, xu_y = X_from_jet(j, w)
         du = D_from_jet(co, j, x, y)
-        e = energy_from_jet(params, j, x, y, w)
+        e = energy_from_jet(j, w)
         gx = 2.0 * du * xu_x + e * (-c1 * x)
         gy = 2.0 * du * xu_y + e * (-c2 * y)
         return -gy, gx   # flux 1-form of the vector (gx, gy)
@@ -294,12 +294,12 @@ def _w1_form(params, co):
     return form
 
 
-def _w2_form(params, co, nonlin):
+def _w2_form(co, nonlin):
     c1, c2 = co.c1, co.c2
     c = float(co.c)
 
     def form(j, x, y, w):
-        xu_x, xu_y = X_from_jet(params, j, x, y, w)
+        xu_x, xu_y = X_from_jet(j, w)
         fu = np.asarray(nonlin.F(j.u), float)
         gx = -2.0 * fu * (-c1 * x) - 2.0 * c * j.u * xu_x
         gy = -2.0 * fu * (-c2 * y) - 2.0 * c * j.u * xu_y
@@ -316,17 +316,18 @@ def omega_forms(params: OperatorParams, u: ScalarField, nonlin: NonlinearitySpec
     point: the flux form (P, Q) = (-gy, gx) of g gives g . eta = Q eta.x - P eta.y."""
     co = coefficients(params)
     j = jet2(u, p)
+    w = operator_weights(params, p.x, p.y)
 
     def dot(form):
-        fp, fq = form(j, p.x, p.y, None)
+        fp, fq = form(j, p.x, p.y, w)
         return float(fq * eta.x - fp * eta.y)
 
-    return dot(_w1_form(params, co)), dot(_w2_form(params, co, nonlin))
+    return dot(_w1_form(co)), dot(_w2_form(co, nonlin))
 
 
 def _w1_boundary(u, domain, cfg) -> float:
     """int_{BC u sigma} w1, the w1 term of step1 and pohozaev."""
-    w1 = _w1_form(domain.params, coefficients(domain.params))
+    w1 = _w1_form(coefficients(domain.params))
     return _curve_functional(u, domain, BoundaryCurveId.BC, cfg, w1) \
         + _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, w1)
 
@@ -347,13 +348,13 @@ def step1_residual(u: ScalarField, domain: DomainSpec,
                    cfg: QuadConfig = QuadConfig()) -> IdentityReport:
     """For u vanishing on AC:
     2 * int D(u) O(u) = 2c * int E + int_{BC u sigma} w1."""
-    params, co = _gate(u, domain, cfg, "step1", [BoundaryCurveId.AC])
+    co = _gate(u, domain, cfg, "step1", [BoundaryCurveId.AC])
     c = float(co.c)
 
     lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                           D_from_jet(co, j, x, y) * O_from_jet(params, j, x, y, w))
+                           D_from_jet(co, j, x, y) * O_from_jet(j, w))
     e_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                             energy_from_jet(params, j, x, y, w))
+                             energy_from_jet(j, w))
     b = _w1_boundary(u, domain, cfg)
     rhs = c * e_int + 0.5 * b
     sides = {"energy_integral": e_int, "omega1_boundary": b}
@@ -365,7 +366,7 @@ def step2_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
                    cfg: QuadConfig = QuadConfig()) -> IdentityReport:
     """For u vanishing on AC and sigma, F(0) = 0:
     int D(u) f(u) = kappa * int F(u) + int_BC F(u) V . eta."""
-    params, co = _gate(u, domain, cfg, "step2", nonlin=nonlin)
+    co = _gate(u, domain, cfg, "step2", nonlin=nonlin)
     c1, c2 = co.c1, co.c2
 
     lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
@@ -389,15 +390,15 @@ def step3_residual(u: ScalarField, domain: DomainSpec,
                    cfg: QuadConfig = QuadConfig()) -> IdentityReport:
     """For u vanishing on AC and sigma:
     int u O(u) = int E + int_BC u Xu . eta."""
-    params, co = _gate(u, domain, cfg, "step3")
+    co = _gate(u, domain, cfg, "step3")
 
     lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                           j.u * O_from_jet(params, j, x, y, w))
+                           j.u * O_from_jet(j, w))
     e_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                             energy_from_jet(params, j, x, y, w))
+                             energy_from_jet(j, w))
 
     def uxu_form(j, x, y, w):
-        xu_x, xu_y = X_from_jet(params, j, x, y, w)
+        xu_x, xu_y = X_from_jet(j, w)
         return -j.u * xu_y, j.u * xu_x
 
     bc = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, uxu_form)
@@ -413,7 +414,7 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
     kappa int F(u) - c int u f(u)
       = (1/2)[int_{BC u sigma} w1 + int_BC w2] + int (Du - c u)(f(u) - O u).
     For a true solution (O u = f(u)) the defect vanishes."""
-    params, co = _gate(u, domain, cfg, "pohozaev", nonlin=nonlin)
+    co = _gate(u, domain, cfg, "pohozaev", nonlin=nonlin)
     c = float(co.c)
 
     f_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
@@ -424,13 +425,13 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
 
     b1 = _w1_boundary(u, domain, cfg)
     b2 = _curve_functional(u, domain, BoundaryCurveId.BC, cfg,
-                           _w2_form(params, co, nonlin))
+                           _w2_form(co, nonlin))
     rhs = 0.5 * (b1 + b2)
 
     defect = _area_functional(u, domain, cfg, lambda j, x, y, w:
                               (D_from_jet(co, j, x, y) - c * j.u)
                               * (np.asarray(nonlin.f(j.u), float)
-                                 - O_from_jet(params, j, x, y, w)))
+                                 - O_from_jet(j, w)))
     sides = {"F_integral": f_int, "uf_integral": uf_int,
              "omega1_boundary": b1, "omega2_boundary_BC": b2}
     note = ("defect form: the identity is conditional on O u = f(u); "
@@ -446,7 +447,7 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
     elliptic half-plane y >= 0 (omega1, omega2) and exactly zero on the
     omega4 segment; the omega3 arc dips into y < 0 where the integrand is
     sign-indefinite, so no sign claim is made there."""
-    params, co = _gate(u, domain, cfg, "sigma_boundary_sign",
+    co = _gate(u, domain, cfg, "sigma_boundary_sign",
                        [BoundaryCurveId.SIGMA])
     rep = check_starshaped(domain)
     if not rep.is_starlike:
@@ -456,7 +457,7 @@ def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
     c1, c2 = co.c1, co.c2
 
     def form(j, x, y, w):
-        e = energy_from_jet(params, j, x, y, w)
+        e = energy_from_jet(j, w)
         return -c2 * y * e, c1 * x * e
 
     return _curve_functional(u, domain, BoundaryCurveId.SIGMA, cfg, form)

@@ -268,10 +268,10 @@ def integrate_boundary(form, domain, cfg: QuadConfig) -> float:
 # ---------------------------------------------------------------------------
 # divergence self-test (validates charts, weights and orientation together)
 
-def _poly2d_coeffs(rng, deg: int = 3):
-    c = np.zeros((deg + 1, deg + 1))
-    for i in range(deg + 1):
-        for j in range(deg + 1 - i):
+def _poly2d_coeffs(rng):
+    c = np.zeros((4, 4))   # a cubic: c[i, j] x**i y**j with i + j <= 3
+    for i in range(4):
+        for j in range(4 - i):
             c[i, j] = rng.uniform(-1.0, 1.0)
     return c
 

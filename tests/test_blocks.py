@@ -11,7 +11,7 @@ import pytest
 
 from tricomi import quad
 from tricomi.errors import DomainError
-from tricomi.field import X, Y, Const, Div, O_from_jet, manufactured
+from tricomi.field import X, Y, Const, Div, O_from_jet, manufactured, operator_weights
 from tricomi.identities import reference_domains
 from tricomi.params import OperatorParams
 from tricomi.quad import QuadConfig
@@ -78,7 +78,7 @@ def test_a_part_that_was_not_computed_cannot_be_read():
     x = np.linspace(0.1, 1.0, 50)
     j = (X * X * Y).jet(x, x, second=False)
     with pytest.raises(TypeError):
-        O_from_jet(OperatorParams(1, 4), j, x, x)
+        O_from_jet(j, operator_weights(OperatorParams(1, 4), x, x))
 
 
 @pytest.mark.parametrize("n", [100, 3 * quad._BLOCK + 5], ids=["one-block", "blocks"])

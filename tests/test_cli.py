@@ -176,6 +176,50 @@ def test_out_of_range_inputs_give_one_error_line(capsys, argv, message):
         assert json.loads(Path(rep).read_text(), parse_constant=refuse)["reports"] == []
 
 
+@pytest.mark.parametrize("argv, config, line", [
+    (["exponent"], None, "error: missing required option(s): --m1, --m2"),
+    (["flow", "--m1", "1", "--m2", "4"], None,
+     "error: missing required option(s): --x, --y"),
+    (["suite", "--m1", "1", "--m2", "4", "--x0", "0"], None,
+     "error: anchor magnitude must be nonzero"),
+    (["exponent"], [1], "error: config file must hold a JSON object"),
+], ids=["exponent-no-pair", "flow-no-point", "suite-zero-anchor", "config-list"])
+def test_refused_commands_give_one_error_line(capsys, argv, config, line):
+    if config is not None:
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [line] and out == ""
+
+
+def test_failed_divergence_selftest_is_one_error_line(tmp_path, capsys,
+                                                      monkeypatch, request):
+    # the self-test result is kept per (domain, cfg): clear it on both sides
+    ident._ensure_oriented.cache_clear()
+    request.addfinalizer(ident._ensure_oriented.cache_clear)
+    monkeypatch.setattr(ident, "divergence_selftest",
+                        lambda dom, cfg: ident.Residual(1.0, 1.1))
+    rep = tmp_path / "r.json"
+    assert run(["verify", "step1", "--report", str(rep)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "error: divergence self-test rel error 3.226e-02 exceeds 1.0e-08")
+    assert json.loads(rep.read_text())["error"].startswith(
+        "NonConvergence: divergence self-test")
+
+
+def test_hardy_grid_supremum_off_M_L_writes_no_record(tmp_path, capsys, monkeypatch):
+    grid = ident._mucken_product_grid
+    monkeypatch.setattr(ident, "_mucken_product_grid",
+                        lambda *args: 1.001 * grid(*args))
+    rep = tmp_path / "r.json"
+    assert run(["hardy", "--m1", "1", "--m2", "4", "--report", str(rep)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "does not reach M_L = 2/3" in line
+    assert json.loads(rep.read_text())["reports"] == []
+
+
 def test_verify_parity_violation_names_rule(capsys):
     rc = run(["verify", "step1", "--variant", "omega1", "--m1", "2",
               "--m2", "4", "--x0", "-0.5"])

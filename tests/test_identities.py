@@ -97,6 +97,38 @@ def test_step_identity_preconditions():
         step2_residual(manufactured(dom), bad, dom)
 
 
+@pytest.fixture
+def failing_selftest(monkeypatch):
+    # a divergence self-test that misses by 3.2e-2; its result is kept per
+    # (domain, cfg), so the kept one is cleared on both sides of the test
+    identities._ensure_oriented.cache_clear()
+    monkeypatch.setattr(identities, "divergence_selftest",
+                        lambda domain, cfg: quad.Residual(1.0, 1.1))
+    yield
+    identities._ensure_oriented.cache_clear()
+
+
+@pytest.mark.parametrize("check", [
+    lambda u, dom: step1_residual(u, dom),
+    lambda u, dom: step2_residual(u, cubic_nonlinearity(), dom),
+    lambda u, dom: step3_residual(u, dom),
+    lambda u, dom: pohozaev_residual(u, cubic_nonlinearity(), dom),
+    lambda u, dom: sigma_boundary_sign(u, dom),
+], ids=["step1", "step2", "step3", "pohozaev", "sigma_boundary_sign"])
+def test_a_failed_divergence_selftest_stops_every_identity(failing_selftest, check):
+    dom = omega1(1, 4, -0.5)
+    with pytest.raises(NonConvergence) as ei:
+        check(manufactured(dom), dom)
+    assert str(ei.value).startswith(
+        "divergence self-test rel error 3.226e-02 exceeds 1.0e-08")
+
+
+def test_a_failed_divergence_selftest_fails_its_record(failing_selftest):
+    rep = identities.selftest_report(omega1(1, 4, -0.5))
+    assert (rep.lhs, rep.rhs) == (1.0, 1.1)
+    assert rep.passed is False
+
+
 def test_report_json_round_trip():
     dom = omega1(1, 4, -0.5)
     rep = step3_residual(manufactured(dom), dom)
@@ -250,6 +282,15 @@ def test_hardy_constants_exact_case():
     assert got["C_L_low"] == Fraction(2, 3)
     assert got["C_L_high"] == Fraction(4, 3)
     assert abs(got["grid_sup"] - 2.0 / 3.0) <= 1e-8
+
+
+def test_a_grid_supremum_off_M_L_is_nonconvergence(monkeypatch):
+    # 1e-3 above the exact supremum: the grid no longer confirms M_L
+    grid = identities._mucken_product_grid
+    monkeypatch.setattr(identities, "_mucken_product_grid",
+                        lambda *args: 1.001 * grid(*args))
+    with pytest.raises(NonConvergence, match="does not reach M_L = 2/3"):
+        hardy_constants(OperatorParams(1, 4), HardyParams())
 
 
 def test_hardy_constants_general_exponents():
