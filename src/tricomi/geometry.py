@@ -272,7 +272,9 @@ class CurveChart:
 @dataclass
 class AreaChart:
     name: str
-    fn: Callable  # vectorized (U, V) in [0,1]^2 -> (X, Y, jacobian >= 0)
+    # elementwise (U, V) in [0,1]^2 -> (X, Y, jacobian >= 0); called on an
+    # open mesh (U a column, V a row), its outputs broadcast to the level
+    fn: Callable
 
 
 @dataclass(frozen=True)

@@ -156,17 +156,17 @@ class GridLevel:
 
 def _tensor_level(maps, order: int, panels: int) -> GridLevel:
     # Gauss tensor grid on the unit square pushed through each chart map
-    # (U, V) -> (X, Y, jacobian)
+    # (U, V) -> (X, Y, jacobian).  The maps are elementwise, so they run on
+    # the open mesh (U a column, V a row) and each output is broadcast to
+    # the level as it is stored
     t, w = _panel_nodes(0.0, 1.0, order, panels)
-    U, V = np.meshgrid(t, t, indexing="ij")
+    U, V = np.meshgrid(t, t, indexing="ij", sparse=True)
     W2 = np.outer(w, w)
-    xs, ys, ws = [], [], []
-    for fn in maps:
-        Xc, Yc, J = fn(U, V)
-        xs.append(np.asarray(Xc, float).ravel())
-        ys.append(np.asarray(Yc, float).ravel())
-        ws.append((np.asarray(J, float) * W2).ravel())
-    return GridLevel(np.concatenate(xs), np.concatenate(ys), (np.concatenate(ws),))
+    x, y, wt = (np.empty((len(maps),) + W2.shape) for _ in range(3))
+    for k, fn in enumerate(maps):
+        x[k], y[k], J = fn(U, V)
+        np.multiply(J, W2, out=wt[k])
+    return GridLevel(x.ravel(), y.ravel(), (wt.ravel(),))
 
 
 def _curve_level(charts, order: int, panels: int) -> GridLevel:
@@ -276,23 +276,39 @@ def _poly2d_coeffs(rng):
     return c
 
 
+def _horner(t, coefs):
+    """sum_i coefs[i] t**i from the top coefficient down: r = r * t; r += c."""
+    r = coefs[-1]
+    for c in coefs[-2::-1]:
+        r = r * t
+        r += c
+    return r
+
+
+def _poly2d(c):
+    """(x, y) -> sum c[i, j] x**i y**j, bit for bit numpy's 2-D polyval on
+    finite points for c without -0.0: Horner in x on each column of c, then
+    in y over the columns, the same multiplies and adds less the leading
+    ones over all-zero top coefficients, whose +0.0 the next adds absorb."""
+    top = max(1, len(np.trim_zeros(c.any(axis=0), "b")))   # columns kept
+    cols = [np.trim_zeros(col, "b") if col.any() else col[:1] for col in c.T[:top]]
+    return lambda x, y: _horner(y, [_horner(x, col) for col in cols])
+
+
 def divergence_selftest(domain, cfg: QuadConfig) -> Residual:
     """Worst-case Gauss divergence check over F = (x, y) and three seeded
     random cubic vector fields: area integral of div F against the outward
     boundary flux.  Returns the worst Residual by relative error."""
-    poly = np.polynomial.polynomial
     rng = np.random.default_rng(20250814)
     cases = []
     cases.append((lambda x, y: x, lambda x, y: y, lambda x, y: 2.0 * np.ones_like(x)))
     for _ in range(3):
         cp = _poly2d_coeffs(rng)
         cq = _poly2d_coeffs(rng)
-        dpx, dqy = poly.polyder(cp, axis=0), poly.polyder(cq, axis=1)
-        cases.append((
-            lambda x, y, c=cp: poly.polyval2d(x, y, c),
-            lambda x, y, c=cq: poly.polyval2d(x, y, c),
-            lambda x, y, a=dpx, b=dqy: poly.polyval2d(x, y, a) + poly.polyval2d(x, y, b),
-        ))
+        dpx = _poly2d(np.polynomial.polynomial.polyder(cp, axis=0))
+        dqy = _poly2d(np.polynomial.polynomial.polyder(cq, axis=1))
+        cases.append((_poly2d(cp), _poly2d(cq),
+                      lambda x, y, a=dpx, b=dqy: a(x, y) + b(x, y)))
     worst = None
     for fx, fy, dv in cases:
         area = integrate_domain(dv, domain, cfg)

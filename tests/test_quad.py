@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from tricomi.errors import NonConvergence
+from tricomi import quad
+from tricomi.errors import NonConvergence, ParityViolation
 from tricomi.geometry import (AreaChart, BoundaryCurveId, CurveChart, omega1,
                               omega2, omega3, omega4)
-from tricomi.quad import (QuadConfig, Residual, _level_sum, check_two_level,
-                          divergence_selftest, domain_grids,
+from tricomi.identities import _Box
+from tricomi.quad import (QuadConfig, Residual, _level_sum, _panel_nodes,
+                          _poly2d, _poly2d_coeffs, _tensor_level,
+                          check_two_level, divergence_selftest, domain_grids,
                           integrate_boundary, integrate_curve,
                           integrate_domain, integrate_interval,
                           integrate_neg_interval)
+from test_geometry import _dented_arc
 
 
 class UnitSquare:
@@ -241,6 +245,91 @@ def test_divergence_selftest_fixtures():
     for dom in fixtures() + [UnitSquare()]:
         r = divergence_selftest(dom, cfg)
         assert r.rel_err <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_divergence_selftest_reports_its_worst_case(monkeypatch, k):
+    # negative control: a flux off by 1e-6 relative in any one of the four
+    # cases must show in the Residual returned, not only in the worst case
+    boundary, fluxes = quad.integrate_boundary, []
+
+    def perturbed(form, domain, cfg):
+        fluxes.append(boundary(form, domain, cfg))
+        return fluxes[-1] * (1.0 + 1e-6) if len(fluxes) == k + 1 else fluxes[-1]
+
+    monkeypatch.setattr(quad, "integrate_boundary", perturbed)
+    r = divergence_selftest(omega1(1, 4, -0.5), QuadConfig())
+    assert len(fluxes) == 4
+    assert r.rel_err > 1e-9
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, float).view(np.int64)
+
+
+def test_poly2d_equals_polyval2d_bit_for_bit():
+    # the self-test's seeded cubics and their derivatives, a full 4x4, and
+    # a matrix with a constant-only column, an all-zero middle column and
+    # an all-zero top column, on points that include +-0.0
+    poly = np.polynomial.polynomial
+    rng = np.random.default_rng(20250814)
+    coeffs = []
+    for _ in range(3):
+        cp, cq = _poly2d_coeffs(rng), _poly2d_coeffs(rng)
+        coeffs += [cp, cq, poly.polyder(cp, axis=0), poly.polyder(cq, axis=1)]
+    coeffs.append(np.random.default_rng(3).uniform(-1.0, 1.0, (4, 4)))
+    sparse = np.zeros((3, 5))
+    sparse[:, 0] = [0.5, -1.0, 2.0]
+    sparse[0, 1] = -0.25
+    sparse[1, 3] = 1.5
+    coeffs.append(sparse)
+    special = [0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 0.5, -3.0]
+    sx, sy = (a.ravel() for a in np.meshgrid(special, special))
+    x, y = (np.concatenate([s, rng.uniform(-2.0, 2.0, 4001)]) for s in (sx, sy))
+    for c in coeffs:
+        got = np.broadcast_to(_poly2d(c)(x, y), x.shape)
+        assert np.array_equal(_bits(got), _bits(poly.polyval2d(x, y, c)))
+
+
+def _dense_level(maps, order, panels):
+    # the level as built from a dense meshgrid: every chart map sees the
+    # full (n, n) arrays U and V
+    t, w = _panel_nodes(0.0, 1.0, order, panels)
+    U, V = np.meshgrid(t, t, indexing="ij")
+    W2 = np.outer(w, w)
+    parts = [[np.asarray(a, float).ravel() for a in (X, Y, J * W2)]
+             for X, Y, J in (fn(U, V) for fn in maps)]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _regions():
+    make = {"omega1": omega1, "omega2": omega2, "omega3": omega3, "omega4": omega4}
+    sign = {"omega1": -1.0, "omega2": 1.0, "omega3": -1.0, "omega4": -1.0}
+    for name, variant in make.items():
+        for m1, m2 in ((1, 4), (3, 12), (7, 6), (1, 0)):
+            for mag in (0.25, 1.0):
+                try:
+                    yield variant(m1, m2, sign[name] * mag)
+                except ParityViolation:
+                    pass
+    dented = omega1(1, 4, -0.5, arc=_dented_arc(omega1(1, 4, -0.5)))
+    yield from (_Box(1.0, 1.0), _Box(2.0 ** 3, 2.0 ** 6), dented, UnitSquare())
+
+
+def test_open_mesh_levels_equal_dense_meshgrid_bit_for_bit():
+    # every admissible (variant, m1, m2) of the four pairs, the unit and a
+    # dilated scaling box, the fan cap of a parametric arc and a test
+    # region; the default levels and an odd-sized one
+    regions = list(_regions())
+    assert len(regions) == 34
+    for region in regions:
+        maps = [chart.fn for chart in region.area_charts()]
+        for order, panels in ((16, 32), (16, 16), (5, 3)):
+            level = _tensor_level(maps, order, panels)
+            dense = _dense_level(maps, order, panels)
+            for got, want in zip((level.x, level.y, *level.weights), dense,
+                                 strict=True):
+                assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_grids_are_cached():
