@@ -64,7 +64,7 @@ class Jet2:
     of a common shape.  O has no mixed term and no check reads one, so a
     jet carries no mixed derivative.  uxx and uyy are None in a first-order
     jet (ScalarField.jet's second unset), so reading them fails instead of
-    giving a number."""
+    giving a number.  Inside a walk a part may be a scalar (ScalarField.jet)."""
 
     u: np.ndarray
     ux: np.ndarray
@@ -73,23 +73,51 @@ class Jet2:
     uyy: np.ndarray | None = None
 
 
+# derivative parts that are 0 or 1 by construction, told from a constant's value
+# by identity; _add, _sub and _mul skip the arithmetic they make trivial
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
+
+
+def _add(a, b):
+    return b if a is _ZERO else a if b is _ZERO else a + b
+
+
+def _sub(a, b):
+    return a if b is _ZERO else -b if a is _ZERO else a - b
+
+
+def _mul(a, b):
+    if a is _ZERO or b is _ZERO:
+        return _ZERO
+    return b if a is _ONE else a if b is _ONE else a * b
+
+
 def _parts(j: Jet2, second: bool) -> tuple:
     return (j.u, j.ux, j.uy, j.uxx, j.uyy) if second else (j.u, j.ux, j.uy)
 
 
-def _flat(z, second: bool) -> tuple:
-    # the second-order parts of an affine field: zeros, each its own array
-    return (z.copy(), z.copy()) if second else ()
+def _array_base(s, x):
+    # a constant base on the points: numpy's array power rounds as a scalar's may not
+    return s if isinstance(s, np.ndarray) else np.full(x.shape, s)
+
+
+def _reciprocal_base(s, zero_message: str):
+    # no zero, and no inf or nan, which a reciprocal would hide from jet's check
+    if np.any(s == 0.0):
+        raise DomainError(zero_message)
+    if not np.all(np.isfinite(s)):
+        raise DomainError("non-finite field: the base of a reciprocal is inf or nan")
 
 
 def _chain(b: Jet2, g, g1, g2, second) -> Jet2:
     # jet of g(b) from scalar derivatives g, g' at b.u; g2() gives g'' at
     # b.u and is called only when the second-order parts are asked for
-    j = Jet2(g, g1 * b.ux, g1 * b.uy)
+    j = Jet2(g, _mul(g1, b.ux), _mul(g1, b.uy))
     if second:
         d2 = g2()
-        j.uxx = d2 * b.ux * b.ux + g1 * b.uxx
-        j.uyy = d2 * b.uy * b.uy + g1 * b.uyy
+        j.uxx = _add(_mul(_mul(d2, b.ux), b.ux), _mul(g1, b.uxx))
+        j.uyy = _add(_mul(_mul(d2, b.uy), b.uy), _mul(g1, b.uyy))
     return j
 
 
@@ -99,9 +127,21 @@ class ScalarField:
 
     def jet(self, x, y, known=None, second=True) -> Jet2:
         """Jet at the points (x, y): u, ux and uy, and with second set also
-        uxx and uyy (else they are None).  Each part takes the same
+        uxx and uyy (else they are None), each a new float64 array of the
+        points' shape held by the jet alone.  Each part takes the same
         operations either way, so a first-order jet is bit-identical to
         the first three parts of a second-order one.
+
+        The walk is sparse: a constant stays a scalar, a leaf's derivatives
+        are the structural _ZERO and _ONE, and the arithmetic they make
+        trivial is skipped.  Values are bit-identical to those of a walk on
+        full arrays (a power of a constant runs on an array of the points);
+        derivative parts equal its parts under ==, up to the sign of a zero.
+        Skipping 0 * inf hides a nan, so a part that is not finite raises
+        DomainError.  No non-finite step goes unseen: values are exact, only
+        a reciprocal maps inf to a finite value (Div and negative powers
+        refuse such a base), and every derivative part reaches the output
+        through a product with a computed value.
 
         known(node), when given, returns the jet of a subtree already
         evaluated on these same points, or None; a returned jet is used
@@ -130,10 +170,18 @@ class ScalarField:
                 j = entry[1]
                 if j is None:
                     return node._jet(xs, ys, sub, second)
-                return j if sl is ... else Jet2(*(a[sl] for a in _parts(j, second)))
+                return Jet2(*(a[sl] for a in _parts(j, second)))   # views, never owned
 
             j, sub = sub(self), None  # sub's closure cycle would pin arrays until gc
-            return _parts(j, second)
+            out = []   # scalars, views (points, known jets) and repeats are copied
+            for f, p in zip(fields(Jet2), _parts(j, second)):
+                if not np.all(np.isfinite(p)):
+                    raise DomainError(f"non-finite field: its {f.name} is inf or nan")
+                if not (isinstance(p, np.ndarray) and p.flags.owndata) \
+                        or any(p is q for q in out):
+                    p = np.array(np.broadcast_to(p, xs.shape))
+                out.append(p)
+            return tuple(out)
 
         return Jet2(*_blockwise(xb, block))
 
@@ -200,8 +248,7 @@ class Const(ScalarField):
             raise ValueError("constant must be finite")
 
     def _jet(self, x, y, sub, second):
-        z = np.zeros_like(x)
-        return Jet2(np.full_like(x, self.v), z, z, *_flat(z, second))
+        return Jet2(np.float64(self.v), _ZERO, _ZERO, _ZERO, _ZERO)
 
     def diff(self, var):
         return Const(0.0)
@@ -216,11 +263,9 @@ class Coord(ScalarField):
             raise ValueError("coordinate must be 'x' or 'y'")
 
     def _jet(self, x, y, sub, second):
-        z = np.zeros_like(x)
-        one = np.ones_like(x)
         if self.name == "x":
-            return Jet2(x.copy(), one, z, *_flat(z, second))
-        return Jet2(y.copy(), z, one, *_flat(z, second))
+            return Jet2(x, _ONE, _ZERO, _ZERO, _ZERO)
+        return Jet2(y, _ZERO, _ONE, _ZERO, _ZERO)
 
     def diff(self, var):
         return Const(1.0) if var == self.name else Const(0.0)
@@ -236,11 +281,8 @@ class Add(ScalarField):
     b: ScalarField
 
     def _jet(self, x, y, sub, second):
-        ja, jb = sub(self.a), sub(self.b)
-        j = Jet2(ja.u + jb.u, ja.ux + jb.ux, ja.uy + jb.uy)
-        if second:
-            j.uxx, j.uyy = ja.uxx + jb.uxx, ja.uyy + jb.uyy
-        return j
+        ja, jb = (_parts(sub(v), second) for v in (self.a, self.b))
+        return Jet2(ja[0] + jb[0], *map(_add, ja[1:], jb[1:]))
 
     def diff(self, var):
         return Add(self.a.diff(var), self.b.diff(var))
@@ -252,11 +294,8 @@ class Sub(ScalarField):
     b: ScalarField
 
     def _jet(self, x, y, sub, second):
-        ja, jb = sub(self.a), sub(self.b)
-        j = Jet2(ja.u - jb.u, ja.ux - jb.ux, ja.uy - jb.uy)
-        if second:
-            j.uxx, j.uyy = ja.uxx - jb.uxx, ja.uyy - jb.uyy
-        return j
+        ja, jb = (_parts(sub(v), second) for v in (self.a, self.b))
+        return Jet2(ja[0] - jb[0], *map(_sub, ja[1:], jb[1:]))
 
     def diff(self, var):
         return Sub(self.a.diff(var), self.b.diff(var))
@@ -269,10 +308,13 @@ class Mul(ScalarField):
 
     def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
-        j = Jet2(ja.u * jb.u, ja.ux * jb.u + ja.u * jb.ux, ja.uy * jb.u + ja.u * jb.uy)
+        j = Jet2(ja.u * jb.u, _add(_mul(ja.ux, jb.u), _mul(ja.u, jb.ux)),
+                 _add(_mul(ja.uy, jb.u), _mul(ja.u, jb.uy)))
         if second:
-            j.uxx = ja.uxx * jb.u + 2.0 * ja.ux * jb.ux + ja.u * jb.uxx
-            j.uyy = ja.uyy * jb.u + 2.0 * ja.uy * jb.uy + ja.u * jb.uyy
+            j.uxx = _add(_add(_mul(ja.uxx, jb.u), _mul(_mul(2.0, ja.ux), jb.ux)),
+                         _mul(ja.u, jb.uxx))
+            j.uyy = _add(_add(_mul(ja.uyy, jb.u), _mul(_mul(2.0, ja.uy), jb.uy)),
+                         _mul(ja.u, jb.uyy))
         return j
 
     def diff(self, var):
@@ -286,15 +328,18 @@ class Div(ScalarField):
 
     def _jet(self, x, y, sub, second):
         ja, jb = sub(self.a), sub(self.b)
-        if np.any(jb.u == 0.0):
-            raise DomainError("division by zero in field evaluation")
+        _reciprocal_base(jb.u, "division by zero in field evaluation")
         w = ja.u / jb.u
-        wx = (ja.ux - w * jb.ux) / jb.u
-        wy = (ja.uy - w * jb.uy) / jb.u
+
+        def over(num):   # num / b; a structural 0 stays one
+            return num if num is _ZERO else num / jb.u
+
+        wx = over(_sub(ja.ux, _mul(w, jb.ux)))
+        wy = over(_sub(ja.uy, _mul(w, jb.uy)))
         j = Jet2(w, wx, wy)
         if second:
-            j.uxx = (ja.uxx - 2.0 * wx * jb.ux - w * jb.uxx) / jb.u
-            j.uyy = (ja.uyy - 2.0 * wy * jb.uy - w * jb.uyy) / jb.u
+            j.uxx = over(_sub(_sub(ja.uxx, _mul(_mul(2.0, wx), jb.ux)), _mul(w, jb.uxx)))
+            j.uyy = over(_sub(_sub(ja.uyy, _mul(_mul(2.0, wy), jb.uy)), _mul(w, jb.uyy)))
         return j
 
     def diff(self, var):
@@ -307,11 +352,8 @@ class Neg(ScalarField):
     a: ScalarField
 
     def _jet(self, x, y, sub, second):
-        j = sub(self.a)
-        neg = Jet2(-j.u, -j.ux, -j.uy)
-        if second:
-            neg.uxx, neg.uyy = -j.uxx, -j.uyy
-        return neg
+        u, *d = _parts(sub(self.a), second)
+        return Jet2(-u, *(_sub(_ZERO, p) for p in d))
 
     def diff(self, var):
         return Neg(self.a.diff(var))
@@ -330,14 +372,13 @@ class IPow(ScalarField):
         j = sub(self.a)
         n = self.n
         if n == 0:
-            z = np.zeros_like(x)
-            return Jet2(np.ones_like(x), z, z, *_flat(z, second))
-        s = j.u
-        if n < 0 and np.any(s == 0.0):
-            raise DomainError("negative power of a vanishing field")
+            return Jet2(np.float64(1.0), _ZERO, _ZERO, _ZERO, _ZERO)
+        s = _array_base(j.u, x)
+        if n < 0:
+            _reciprocal_base(s, "negative power of a vanishing field")
         g = _ipow(s, n)
         g1 = n * _ipow(s, n - 1)
-        return _chain(j, g, g1, lambda: np.zeros_like(s) if n == 1
+        return _chain(j, g, g1, lambda: _ZERO if n == 1
                       else n * (n - 1) * _ipow(s, n - 2), second)
 
     def diff(self, var):
@@ -380,11 +421,10 @@ class OddRootPow(ScalarField):
 
     def _jet(self, x, y, sub, second):
         j = sub(self.a)
-        s = j.u
-        if np.any(s == 0.0) and self.p - 2 * self.q < 0:
-            raise DomainError(
-                f"jet of odd-root power {self.p}/{self.q} is singular where "
-                "the base vanishes")
+        s = _array_base(j.u, x)
+        if self.p - 2 * self.q < 0:
+            _reciprocal_base(s, f"jet of odd-root power {self.p}/{self.q} is "
+                             "singular where the base vanishes")
         r = self.p / self.q
         g = _oddpow(s, self.p, self.q)
         g1 = r * _oddpow(s, self.p - self.q, self.q)
@@ -427,7 +467,7 @@ class AbsPow(ScalarField):
 
     def _jet(self, x, y, sub, second):
         j = sub(self.a)
-        s = j.u
+        s = _array_base(j.u, x)
         a2 = np.abs(s) ** (self.gamma - 2.0)
         g = a2 * s * s
         g1 = self.gamma * s * a2

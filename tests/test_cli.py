@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tricomi
@@ -230,6 +231,23 @@ def test_verify_parity_violation_names_rule(capsys):
 def test_verify_bad_field_expression(capsys):
     assert run(["verify", "step1", "--field", "(frob x y)"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", [
+    "(* 0.0 (* 1e300 (* 1e300 x)))",            # 0 * inf inside the jet
+    "(/ 1.0 (* (+ (* 1e300 1e300) x) 2.0))",     # 1 / inf is 0
+    "(+ (* 1e300 1e300) x)"])                    # inf passes the vanishing gate
+def test_verify_non_finite_field_is_an_error(text, tmp_path, capsys):
+    rep = tmp_path / "r.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(["verify", "step1", "--variant", "omega1", "--m1", "1",
+                  "--m2", "4", "--x0", "-0.5", "--field", text,
+                  "--report", str(rep)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: non-finite field: ")
+    assert json.loads(rep.read_text())["error"].startswith("DomainError: non-finite field")
 
 
 def test_verify_error_report_still_written(tmp_path):

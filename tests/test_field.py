@@ -7,16 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from tricomi import quad
 from tricomi.errors import DegeneracyLine, DomainError, OutOfRange
-from tricomi.field import (Const, Coord, Jet2, OddRootPow, SampleFn1D,
-                           ScalarField, X, Y, VANISH_AC, VANISH_AC_SIGMA,
-                           abs_power, apply_D, apply_O, apply_X, dilate,
-                           directional_pm, energy_density, jet2, manufactured,
-                           norm_density, parse_field, root_power, substitute,
-                           to_prefix)
+from tricomi.field import (AbsPow, Add, Const, Coord, Div, IPow, Jet2, Mul,
+                           Neg, OddRootPow, SampleFn1D, ScalarField, Sub, X, Y,
+                           VANISH_AC, VANISH_AC_SIGMA, _oddpow, abs_power,
+                           apply_D, apply_O, apply_X, dilate, directional_pm,
+                           energy_density, jet2, manufactured, norm_density,
+                           parse_field, root_power, substitute, to_prefix)
 from tricomi.geometry import (BoundaryCurveId, Point, boundary_charts,
                               curve_point, natural_range, omega1, omega3,
                               omega4)
+from tricomi.identities import reference_domains
 from tricomi.params import OperatorParams, _ipow, coefficients
 from tricomi.quad import QuadConfig, domain_grids
 
@@ -164,8 +166,7 @@ def _random_tree(rng, depth=0):
 def _fd_jet(u, p, h=1e-5):
     f = lambda x, y: float(u.jet(np.asarray(x, float), np.asarray(y, float)).u)
     x, y = p.x, p.y
-    vals = [f(x, y), f(x + h, y), f(x - h, y), f(x, y + h), f(x, y - h),
-            f(x + h, y + h), f(x + h, y - h), f(x - h, y + h), f(x - h, y - h)]
+    vals = [f(x, y), f(x + h, y), f(x - h, y), f(x, y + h), f(x, y - h)]
     jet = Jet2(
         u=vals[0],
         ux=(vals[1] - vals[2]) / (2 * h),
@@ -194,6 +195,157 @@ def test_ad_matches_finite_differences():
             if name in ("uxx", "uyy"):
                 tol += floor2
             assert abs(a - b) <= tol, (name, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the sparse jet walk against a dense reference
+
+PARTS = ("u", "ux", "uy", "uxx", "uyy")
+NONFINITE_FIELDS = ("(* 0.0 (* 1e300 (* 1e300 x)))",
+                    "(/ 1.0 (* (+ (* 1e300 1e300) x) 2.0))",
+                    "(+ (* 1e300 1e300) x)")
+
+
+def _dense_jet(u, x, y) -> tuple:
+    """u's five jet parts by the same formulas with a full array for every
+    part: each constant's value and each leaf derivative is an array of the
+    points' shape, and nothing is skipped."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    z = np.zeros_like(x)
+
+    def chain(b, g, g1, d2):
+        return (g, g1 * b[1], g1 * b[2], d2 * b[1] * b[1] + g1 * b[3],
+                d2 * b[2] * b[2] + g1 * b[4])
+
+    def walk(n):
+        if isinstance(n, Const):
+            return np.full_like(x, n.v), z, z, z, z
+        if isinstance(n, Coord):
+            one = np.ones_like(x)
+            return (x.copy(), one, z, z, z) if n.name == "x" else (y.copy(), z, one, z, z)
+        if isinstance(n, Neg):
+            return tuple(-p for p in walk(n.a))
+        if isinstance(n, (Add, Sub)):
+            a, b = walk(n.a), walk(n.b)
+            return tuple(p + q if isinstance(n, Add) else p - q for p, q in zip(a, b))
+        if isinstance(n, Mul):
+            (au, ax, ay, axx, ayy), (bu, bx, by, bxx, byy) = walk(n.a), walk(n.b)
+            return (au * bu, ax * bu + au * bx, ay * bu + au * by,
+                    axx * bu + 2.0 * ax * bx + au * bxx,
+                    ayy * bu + 2.0 * ay * by + au * byy)
+        if isinstance(n, Div):
+            (au, ax, ay, axx, ayy), (bu, bx, by, bxx, byy) = walk(n.a), walk(n.b)
+            w = au / bu
+            wx, wy = (ax - w * bx) / bu, (ay - w * by) / bu
+            return (w, wx, wy, (axx - 2.0 * wx * bx - w * bxx) / bu,
+                    (ayy - 2.0 * wy * by - w * byy) / bu)
+        b = walk(n.a)
+        s = b[0]
+        if isinstance(n, IPow):
+            k = n.n
+            if k == 0:
+                return np.ones_like(x), z, z, z, z
+            return chain(b, _ipow(s, k), k * _ipow(s, k - 1),
+                         np.zeros_like(s) if k == 1 else k * (k - 1) * _ipow(s, k - 2))
+        if isinstance(n, OddRootPow):
+            p, q, r = n.p, n.q, n.p / n.q
+            return chain(b, _oddpow(s, p, q), r * _oddpow(s, p - q, q),
+                         r * (r - 1.0) * _oddpow(s, p - 2 * q, q))
+        assert isinstance(n, AbsPow)
+        a2 = np.abs(s) ** (n.gamma - 2.0)
+        return chain(b, a2 * s * s, n.gamma * s * a2, n.gamma * (n.gamma - 1.0) * a2)
+
+    return walk(u)
+
+
+def _int64(a):
+    # the bits of a float64 array, with -0.0 read as +0.0
+    return (np.asarray(a, float) + 0.0).view(np.int64)
+
+
+def _assert_dense_equal(u, x, y, second=True, known=None):
+    # every part: a fresh array of the points' shape, no nan, == the dense
+    # reference and the same bits up to the sign of a zero; u the same bits
+    j = u.jet(x, y, known=known, second=second)
+    shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
+    names = PARTS if second else PARTS[:3]
+    got = [getattr(j, c) for c in names]
+    assert second or (j.uxx, j.uyy) == (None, None)
+    assert len({id(a) for a in got}) == len(got)
+    for name, a, want in zip(names, got, _dense_jet(u, x, y)):
+        assert isinstance(a, np.ndarray) and a.shape == shape and a.flags.owndata, name
+        assert not (np.shares_memory(a, x) or np.shares_memory(a, y)), name
+        assert not np.isnan(a).any() and np.array_equal(a, want), (name, to_prefix(u))
+        assert np.array_equal(_int64(a), _int64(want)), (name, to_prefix(u))
+        if name == "u":
+            assert np.array_equal(np.asarray(a).view(np.int64),
+                                  np.asarray(want, float).view(np.int64)), name
+
+
+def _subtrees(u):
+    yield u
+    for v in vars(u).values():
+        if isinstance(v, ScalarField):
+            yield from _subtrees(v)
+
+
+def test_sparse_jets_equal_the_dense_reference_on_random_trees():
+    rng = np.random.default_rng(19)
+    n = 3 * quad._BLOCK + 5   # several blocks, the last one partial
+    x, y = rng.uniform(-1.5, 1.5, (2, n))
+    for _ in range(60):
+        u = _random_tree(rng)
+        nodes = list(_subtrees(u))
+        part = nodes[int(rng.integers(len(nodes)))]
+        known = {part: part.jet(x, y)}.get
+        for second in (True, False):
+            _assert_dense_equal(u, x, y, second)
+            _assert_dense_equal(u, x, y, second, known)
+        for _ in range(5):   # single points, 0-d
+            px, py = (np.asarray(v) for v in rng.uniform(-1.5, 1.5, 2))
+            _assert_dense_equal(u, px, py)
+            _assert_dense_equal(u, px, py, False)
+
+
+@pytest.mark.parametrize("dom", reference_domains(), ids=lambda d: d.variant.value)
+def test_sparse_jets_equal_the_dense_reference_on_levels(dom):
+    # the manufactured field and the suite's u (1 + x/2 - y/3) on both area
+    # levels, cold and with the manufactured field known, and at points
+    base = manufactured(dom)
+    fields = (base, base * (Const(1.0) + X / 2 - Y / 3))
+    for g in domain_grids(dom, QuadConfig(panels_per_axis=18)):
+        assert g.x.size > quad._BLOCK
+        for second in (True, False):
+            known = {base: base.jet(g.x, g.y, second=second)}.get
+            for u in fields:
+                _assert_dense_equal(u, g.x, g.y, second)
+                _assert_dense_equal(u, g.x, g.y, second, known)
+        for i in range(0, g.x.size, g.x.size // 7):
+            for u in fields:
+                _assert_dense_equal(u, g.x[i], g.y[i])
+
+
+@pytest.mark.parametrize("power", ["pow3", "pow5", "pow-3", "root", "abspow"])
+def test_constant_base_powers_equal_the_dense_reference_bit_for_bit(power):
+    # a power of a constant runs on numpy's array loop; a scalar c ** n
+    # rounds differently in some of these c where numpy has AVX-512 loops
+    make = {"pow3": lambda c: IPow(c, 3), "pow5": lambda c: IPow(c, 5),
+            "pow-3": lambda c: IPow(c, -3), "root": lambda c: root_power(c, 1, 3),
+            "abspow": lambda c: abs_power(c, 3.5)}[power]
+    x = np.linspace(-1.0, 1.0, 9)
+    y = np.zeros_like(x)
+    for c in np.random.default_rng(7919).uniform(-3.0, 3.0, 1000):
+        _assert_dense_equal(Mul(make(Const(float(c))), X), x, y)
+
+
+@pytest.mark.parametrize("text", NONFINITE_FIELDS)
+def test_a_non_finite_field_raises_from_its_jet(text):
+    u = parse_field(text)
+    x = np.linspace(-1.0, -0.1, 3 * quad._BLOCK + 5)
+    for second in (True, False):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DomainError, match="^non-finite field: "):
+            u.jet(x, -x, second=second)
 
 
 def _random_diff_tree(rng, depth=0):
