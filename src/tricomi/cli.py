@@ -16,6 +16,8 @@ import os
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import identities as ident
 from .errors import NonConvergence, TricomiError
 from .field import Const, X, Y, manufactured, parse_field, VANISH_AC_SIGMA
@@ -454,8 +456,11 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     try:
-        args = _parse(argv)
-        return _DISPATCH[args.command](args)
+        # a jet's finite check, check_two_level and the Hardy gates catch
+        # every inf and nan, so numpy's warnings would only precede the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            args = _parse(argv)
+            return _DISPATCH[args.command](args)
     except OverflowError as e:
         # an input too large for float arithmetic is a configuration error
         print(f"error: numeric overflow: {e}", file=sys.stderr)

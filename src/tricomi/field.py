@@ -190,9 +190,6 @@ class ScalarField:
         # says whether to compute uxx and uyy
         raise NotImplementedError
 
-    def diff(self, var: str) -> "ScalarField":
-        raise NotImplementedError
-
     def __call__(self, x, y):
         return self.jet(x, y, second=False).u
 
@@ -250,9 +247,6 @@ class Const(ScalarField):
     def _jet(self, x, y, sub, second):
         return Jet2(np.float64(self.v), _ZERO, _ZERO, _ZERO, _ZERO)
 
-    def diff(self, var):
-        return Const(0.0)
-
 
 @dataclass(frozen=True)
 class Coord(ScalarField):
@@ -266,9 +260,6 @@ class Coord(ScalarField):
         if self.name == "x":
             return Jet2(x, _ONE, _ZERO, _ZERO, _ZERO)
         return Jet2(y, _ZERO, _ONE, _ZERO, _ZERO)
-
-    def diff(self, var):
-        return Const(1.0) if var == self.name else Const(0.0)
 
 
 X = Coord("x")
@@ -284,9 +275,6 @@ class Add(ScalarField):
         ja, jb = (_parts(sub(v), second) for v in (self.a, self.b))
         return Jet2(ja[0] + jb[0], *map(_add, ja[1:], jb[1:]))
 
-    def diff(self, var):
-        return Add(self.a.diff(var), self.b.diff(var))
-
 
 @dataclass(frozen=True)
 class Sub(ScalarField):
@@ -296,9 +284,6 @@ class Sub(ScalarField):
     def _jet(self, x, y, sub, second):
         ja, jb = (_parts(sub(v), second) for v in (self.a, self.b))
         return Jet2(ja[0] - jb[0], *map(_sub, ja[1:], jb[1:]))
-
-    def diff(self, var):
-        return Sub(self.a.diff(var), self.b.diff(var))
 
 
 @dataclass(frozen=True)
@@ -316,9 +301,6 @@ class Mul(ScalarField):
             j.uyy = _add(_add(_mul(ja.uyy, jb.u), _mul(_mul(2.0, ja.uy), jb.uy)),
                          _mul(ja.u, jb.uyy))
         return j
-
-    def diff(self, var):
-        return Add(Mul(self.a.diff(var), self.b), Mul(self.a, self.b.diff(var)))
 
 
 @dataclass(frozen=True)
@@ -342,10 +324,6 @@ class Div(ScalarField):
             j.uyy = over(_sub(_sub(ja.uyy, _mul(_mul(2.0, wy), jb.uy)), _mul(w, jb.uyy)))
         return j
 
-    def diff(self, var):
-        num = Sub(Mul(self.a.diff(var), self.b), Mul(self.a, self.b.diff(var)))
-        return Div(num, Mul(self.b, self.b))
-
 
 @dataclass(frozen=True)
 class Neg(ScalarField):
@@ -354,9 +332,6 @@ class Neg(ScalarField):
     def _jet(self, x, y, sub, second):
         u, *d = _parts(sub(self.a), second)
         return Jet2(-u, *(_sub(_ZERO, p) for p in d))
-
-    def diff(self, var):
-        return Neg(self.a.diff(var))
 
 
 @dataclass(frozen=True)
@@ -380,14 +355,6 @@ class IPow(ScalarField):
         g1 = n * _ipow(s, n - 1)
         return _chain(j, g, g1, lambda: _ZERO if n == 1
                       else n * (n - 1) * _ipow(s, n - 2), second)
-
-    def diff(self, var):
-        if self.n == 0:
-            return Const(0.0)
-        if self.n == 1:
-            return self.a.diff(var)
-        return Mul(Mul(Const(float(self.n)), IPow(self.a, self.n - 1)),
-                   self.a.diff(var))
 
 
 def _oddpow(s, p: int, q: int):
@@ -431,11 +398,6 @@ class OddRootPow(ScalarField):
         return _chain(j, g, g1, lambda: r * (r - 1.0)
                       * _oddpow(s, self.p - 2 * self.q, self.q), second)
 
-    def diff(self, var):
-        scale = Const(self.p / self.q)
-        inner = root_power(self.a, self.p - self.q, self.q)
-        return Mul(Mul(scale, inner), self.a.diff(var))
-
 
 def root_power(base: ScalarField, p: int, q: int) -> ScalarField:
     """base**(p/q) under the odd-root convention, normalized."""
@@ -473,10 +435,6 @@ class AbsPow(ScalarField):
         g1 = self.gamma * s * a2
         return _chain(j, g, g1, lambda: self.gamma * (self.gamma - 1.0) * a2, second)
 
-    def diff(self, var):
-        raise NotImplementedError(
-            "derivative trees of |.|**gamma are not supported; use jets")
-
 
 def abs_power(base, gamma: float) -> ScalarField:
     return AbsPow(_as_field(base), float(gamma))
@@ -491,8 +449,8 @@ def jet2(u: ScalarField, p: Point) -> Jet2:
 
 
 def operator_weights(params: OperatorParams, x, y):
-    """(y**m1, x**m2), the weights O, X and E put on the jet.  A grid level
-    keeps them for its nodes; a point helper computes them for its point."""
+    """(y**m1, x**m2), the weights O, X and E put on the jet; a boundary
+    level keeps them, area passes and point helpers compute their own."""
     return _ipow(y, params.m1), _ipow(x, params.m2)
 
 

@@ -151,9 +151,11 @@ def reference_domains() -> list[DomainSpec]:
 
 
 # ---------------------------------------------------------------------------
-# jets and operator weights on quadrature levels
+# what quadrature levels keep of a field
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses")
+# an area level keeps u, Du and Ou on its points and sum(E * weights)
+_AreaParts = namedtuple("_AreaParts", "u Du Ou energy")
 
 
 def _kept(level, key, make):
@@ -163,21 +165,19 @@ def _kept(level, key, make):
     if value is None:
         value = level.memo[key] = make()
         for a in vars(value).values() if isinstance(value, Jet2) else value:
-            if a is not None:   # a part the level's jets leave out
+            if isinstance(a, np.ndarray):   # not a left-out part nor a sum
                 a.flags.writeable = False
     return value
 
 
-class _LevelJets:
-    """(grid, jet of u, operator weights) on each level of a grid pair, kept
-    in the level's memo so they live as long as the level; a new jet reuses
-    the kept jet of every subtree on the same level.  Every jet of the
-    levels is of the same order (second, see ScalarField.jet).
-    cache_info() counts the calls that found every jet kept."""
+class _LevelMemo:
+    """make(g, u, params) on each level g of a grid pair: what the level
+    keeps of u, in its memo, so it lives as long as the level.
+    cache_info() counts the calls that found u kept on every level."""
 
-    def __init__(self, grids, second: bool):
+    def __init__(self, grids, make):
         self._grids = grids
-        self._second = second
+        self._make = make
         self.hits = self.misses = 0
 
     def __call__(self, u: ScalarField, domain: DomainSpec, *where):
@@ -186,33 +186,62 @@ class _LevelJets:
             self.hits += 1
         else:
             self.misses += 1
-        return tuple((g, _kept(g, u, lambda: u.jet(g.x, g.y, known=g.memo.get,
-                                                   second=self._second)),
-                      _kept(g, domain.params,
-                            lambda: operator_weights(domain.params, g.x, g.y)))
-                     for g in grids)
+        return tuple((g, self._make(g, u, domain.params)) for g in grids)
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self.hits, self.misses)
 
 
-# area densities read uxx and uyy; the boundary forms and the
-# weighted-gradient norm are first order.  The grid builders are looked up
-# at call time, so a wrapper installed on quad's names sees these calls too
-_area_jets = _LevelJets(lambda domain, cfg: quad.domain_grids(domain, cfg), True)
-_curve_jets = _LevelJets(lambda domain, curve_id, cfg:
-                         quad.curve_grids(domain, curve_id, cfg), False)
+def _area_parts(g, u, params) -> _AreaParts:
+    # one streamed pass: a block's second-order jet and weights go with it
+    co = coefficients(params)
+
+    def kernel(sl):
+        x, y = g.x[sl], g.y[sl]
+        j, w = u.jet(x, y), operator_weights(params, x, y)
+        return j.u, D_from_jet(co, j, x, y), O_from_jet(j, w), energy_from_jet(j, w)
+
+    return _kept(g, u, lambda: _AreaParts(*quad._streamed_sums(g, kernel, keep=3)))
 
 
-def _area_functional(u, domain, cfg, density) -> float:
-    fine, coarse = (quad._level_sum([density(j, g.x, g.y, w)], g.weights)
-                    for g, j, w in _area_jets(u, domain, cfg))
-    return check_two_level(fine, coarse, cfg, "area functional")
+def _curve_jet(g, u, params) -> tuple:
+    # the boundary forms' first-order jet, reusing the kept jet of every
+    # subtree on the level, and the operator weights
+    return (_kept(g, u, lambda: u.jet(g.x, g.y, known=g.memo.get, second=False)),
+            _kept(g, params, lambda: operator_weights(params, g.x, g.y)))
+
+
+# the grid builders are looked up at call time, so a wrapper installed on
+# quad's names sees these calls too
+_area_jets = _LevelMemo(lambda domain, cfg: quad.domain_grids(domain, cfg), _area_parts)
+_curve_jets = _LevelMemo(lambda domain, curve_id, cfg:
+                         quad.curve_grids(domain, curve_id, cfg), _curve_jet)
+
+
+def _area_terms(u, domain, cfg, densities, nonlin=None) -> list:
+    """(fine, coarse) sums of densities(p, sl), the density blocks on the
+    block sl from the level's kept parts p, in one pass per area level.
+    Given nonlin, the sums of F(u) come first, kept per (u, nonlin) on the
+    level.  The caller checks each pair."""
+    levels = []
+    for g, p in _area_jets(u, domain, cfg):
+        key = (u, nonlin)
+        if nonlin is None or key in g.memo:
+            sums = quad._streamed_sums(g, lambda sl: densities(p, sl))
+        else:
+            g.memo[key], *sums = quad._streamed_sums(g, lambda sl: (
+                np.asarray(nonlin.F(p.u[sl]), float), *densities(p, sl)))
+        levels.append(sums if nonlin is None else (g.memo[key], *sums))
+    return list(zip(*levels))
+
+
+def _area_value(sums, cfg) -> float:
+    return check_two_level(*sums, cfg, "area functional")
 
 
 def _curve_functional(u, domain, curve_id, cfg, form) -> float:
     fine, coarse = (quad._level_sum(form(j, g.x, g.y, w), g.weights)
-                    for g, j, w in _curve_jets(u, domain, curve_id, cfg))
+                    for g, (j, w) in _curve_jets(u, domain, curve_id, cfg))
     return check_two_level(fine, coarse, cfg, f"curve functional on {curve_id.value}")
 
 
@@ -351,10 +380,9 @@ def step1_residual(u: ScalarField, domain: DomainSpec,
     co = _gate(u, domain, cfg, "step1", [BoundaryCurveId.AC])
     c = float(co.c)
 
-    lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                           D_from_jet(co, j, x, y) * O_from_jet(j, w))
-    e_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                             energy_from_jet(j, w))
+    (lhs,) = _area_terms(u, domain, cfg, lambda p, sl: (p.Du[sl] * p.Ou[sl],))
+    lhs = _area_value(lhs, cfg)
+    e_int = _area_value([p.energy for _, p in _area_jets(u, domain, cfg)], cfg)
     b = _w1_boundary(u, domain, cfg)
     rhs = c * e_int + 0.5 * b
     sides = {"energy_integral": e_int, "omega1_boundary": b}
@@ -369,10 +397,9 @@ def step2_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
     co = _gate(u, domain, cfg, "step2", nonlin=nonlin)
     c1, c2 = co.c1, co.c2
 
-    lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                           D_from_jet(co, j, x, y) * np.asarray(nonlin.f(j.u), float))
-    f_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                             np.asarray(nonlin.F(j.u), float))
+    f_int, lhs = _area_terms(u, domain, cfg, lambda p, sl: (
+        p.Du[sl] * np.asarray(nonlin.f(p.u[sl]), float),), nonlin)
+    lhs, f_int = _area_value(lhs, cfg), _area_value(f_int, cfg)
 
     def fv_form(j, x, y, w):
         fu = np.asarray(nonlin.F(j.u), float)
@@ -392,10 +419,9 @@ def step3_residual(u: ScalarField, domain: DomainSpec,
     int u O(u) = int E + int_BC u Xu . eta."""
     co = _gate(u, domain, cfg, "step3")
 
-    lhs = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                           j.u * O_from_jet(j, w))
-    e_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                             energy_from_jet(j, w))
+    (lhs,) = _area_terms(u, domain, cfg, lambda p, sl: (p.u[sl] * p.Ou[sl],))
+    lhs = _area_value(lhs, cfg)
+    e_int = _area_value([p.energy for _, p in _area_jets(u, domain, cfg)], cfg)
 
     def uxu_form(j, x, y, w):
         xu_x, xu_y = X_from_jet(j, w)
@@ -417,10 +443,13 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
     co = _gate(u, domain, cfg, "pohozaev", nonlin=nonlin)
     c = float(co.c)
 
-    f_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                             np.asarray(nonlin.F(j.u), float))
-    uf_int = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                              j.u * np.asarray(nonlin.f(j.u), float))
+    def terms(p, sl):   # f(u) once per block, for both terms
+        ub = p.u[sl]
+        fu = np.asarray(nonlin.f(ub), float)
+        return ub * fu, (p.Du[sl] - c * ub) * (fu - p.Ou[sl])
+
+    f_int, uf_int, defect = _area_terms(u, domain, cfg, terms, nonlin)
+    f_int, uf_int = _area_value(f_int, cfg), _area_value(uf_int, cfg)
     lhs = float(co.kappa) * f_int - c * uf_int
 
     b1 = _w1_boundary(u, domain, cfg)
@@ -428,10 +457,7 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
                            _w2_form(co, nonlin))
     rhs = 0.5 * (b1 + b2)
 
-    defect = _area_functional(u, domain, cfg, lambda j, x, y, w:
-                              (D_from_jet(co, j, x, y) - c * j.u)
-                              * (np.asarray(nonlin.f(j.u), float)
-                                 - O_from_jet(j, w)))
+    defect = _area_value(defect, cfg)
     sides = {"F_integral": f_int, "uf_integral": uf_int,
              "omega1_boundary": b1, "omega2_boundary_BC": b2}
     note = ("defect form: the identity is conditional on O u = f(u); "
@@ -503,16 +529,18 @@ class _Box:
 def _box_sums(u: ScalarField, lx: float, ly: float, pexp: float,
               params: OperatorParams, cfg: QuadConfig):
     """(fine, coarse) sums of |u|**pexp and of the weighted-gradient density
-    over the box [-lx, lx] x [-ly, ly], both reduced from one jet per level."""
-    lp, grad = [], []
-    for g in quad.domain_grids(_Box(lx, ly), cfg):
-        j = u.jet(g.x, g.y, second=False)
-        # a sum that overflows is inf, which check_two_level reports
-        with np.errstate(over="ignore"):
-            lp.append(quad._level_sum([np.abs(j.u) ** pexp], g.weights))
-            grad.append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)],
-                                        g.weights))
-    return tuple(lp), tuple(grad)
+    over the box [-lx, lx] x [-ly, ly], streamed: both densities of a block
+    read its one first-order jet, which goes with the block."""
+    def densities(g, sl):
+        x, y = g.x[sl], g.y[sl]
+        j = u.jet(x, y, second=False)
+        return np.abs(j.u) ** pexp, norm_from_jet(params, j, x, y)
+
+    # a sum that overflows is inf, which check_two_level reports
+    with np.errstate(over="ignore"):
+        sums = [quad._streamed_sums(g, lambda sl, g=g: densities(g, sl))
+                for g in quad.domain_grids(_Box(lx, ly), cfg)]
+    return tuple(zip(*sums))
 
 
 def scaling_ratios(u: ScalarField, lam: float, pexp: float,

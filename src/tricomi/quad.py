@@ -151,7 +151,7 @@ class GridLevel:
     x: np.ndarray
     y: np.ndarray
     weights: tuple
-    memo: dict = field(default_factory=dict, repr=False)  # jets, weights on x, y
+    memo: dict = field(default_factory=dict, repr=False)  # what identities keep
 
 
 def _tensor_level(maps, order: int, panels: int) -> GridLevel:
@@ -230,18 +230,26 @@ def _blockwise(x: np.ndarray, kernel) -> tuple:
     return outs
 
 
-def _eval_on(g, x, y):
-    # a density may return a scalar (a constant), broadcast like a 1-form
-    def kernel(sl):
-        xs = x[sl]
-        return (np.broadcast_to(np.asarray(g(xs, y[sl]), float), xs.shape),)
+def _streamed_sums(level: GridLevel, kernel, keep: int = 0) -> tuple:
+    """Level sums of densities, streamed: kernel(sl) returns a tuple of
+    arrays on the points level.x[sl], level.y[sl].  The first keep come back
+    as whole-level arrays; each other one is a density (a scalar broadcasts)
+    times the level's weights, written block by block into its own output
+    that one np.sum reduces, bit for bit _level_sum([d], level.weights) of
+    the whole-level d.  Adding per-block sums would round otherwise."""
+    (w,) = level.weights
 
-    return _blockwise(x, kernel)[0]
+    def weighted(sl):
+        parts = kernel(sl)
+        return (*parts[:keep], *(np.asarray(d, float) * w[sl] for d in parts[keep:]))
+
+    outs = _blockwise(level.x, weighted)
+    return (*outs[:keep], *(float(np.sum(out)) for out in outs[keep:]))
 
 
 def integrate_domain(g, domain, cfg: QuadConfig) -> float:
     """Two-level area integral of a pointwise density g(x, y)."""
-    fine, coarse = (_level_sum([_eval_on(g, lv.x, lv.y)], lv.weights)
+    fine, coarse = (_streamed_sums(lv, lambda sl: (g(lv.x[sl], lv.y[sl]),))[0]
                     for lv in domain_grids(domain, cfg))
     return check_two_level(fine, coarse, cfg, "area integral")
 

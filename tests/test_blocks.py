@@ -1,6 +1,7 @@
-"""Blocked evaluation: jets and area integrands over a grid level are computed
-in blocks of quad._BLOCK points and must equal one whole-array evaluation
-bit for bit, raise the same errors, and keep their temporaries small."""
+"""Blocked evaluation: jets, area parts and area sums over a grid level are
+computed in blocks of quad._BLOCK points and must equal one whole-array
+evaluation bit for bit, raise the same errors, and keep their temporaries
+small."""
 import gc
 import itertools
 import tracemalloc
@@ -9,11 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
-from tricomi import quad
+from tricomi import identities, quad
 from tricomi.errors import DomainError
-from tricomi.field import X, Y, Const, Div, O_from_jet, manufactured, operator_weights
+from tricomi.field import (X, Y, Const, Div, D_from_jet, O_from_jet, energy_from_jet,
+                           manufactured, norm_from_jet, operator_weights)
 from tricomi.identities import reference_domains
-from tricomi.params import OperatorParams
+from tricomi.params import (OperatorParams, coefficients, cubic_nonlinearity,
+                            power_nonlinearity)
 from tricomi.quad import QuadConfig
 
 # 18 panels: on every reference domain both levels span more than one block
@@ -118,21 +121,139 @@ def test_a_jet_frees_its_points_without_the_garbage_collector(n):
         gc.enable()
 
 
-def test_blocked_eval_on_equals_the_whole_array(monkeypatch):
-    rng = np.random.default_rng(7)
-    x, y = rng.uniform(-1.0, 1.0, (2, 2 * quad._BLOCK + 11))
+# ---------------------------------------------------------------------------
+# streamed area sums against whole-level arrays, compared as int64 views
 
+# several blocks on every level, not a whole number of them; and the default
+LEVEL_CFGS = [CFG, QuadConfig()]
+DOMS = reference_domains()
+CASES = [(c, d) for c in LEVEL_CFGS for d in DOMS]
+CASE_IDS = [f"{c.panels_per_axis}-{d.variant.value}" for c, d in CASES]
+
+
+def _bits(v) -> np.ndarray:
+    return np.asarray(v, float).view(np.int64)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(_bits(a), _bits(b))
+
+
+def _whole_level(u, dom, g):
+    # a cold second-order jet and the operator weights on the whole level
+    return u.jet(g.x, g.y), operator_weights(dom.params, g.x, g.y)
+
+
+def _fields(dom, cfg):
+    base = manufactured(dom)
+    if cfg.panels_per_axis != CFG.panels_per_axis:
+        return [base]
+    return [base, base * (Const(1.0) + X / 2 - Y / 3)]
+
+
+@pytest.mark.parametrize("cfg, dom", CASES, ids=CASE_IDS)
+def test_streamed_sums_equal_the_whole_level_sum(cfg, dom):
     def poly(x, y):
         return x ** 3 - 2.0 * x * y + y ** 5
 
-    def const(x, y):
-        return 0.25   # one number for all the points, broadcast to them
+    for g in quad.domain_grids(dom, cfg):
+        kept, p, c = quad._streamed_sums(
+            g, lambda sl: (poly(g.x[sl], g.y[sl]), poly(g.x[sl], g.y[sl]), 0.25), keep=1)
+        assert _same_bits(kept, poly(g.x, g.y))
+        assert _same_bits(p, quad._level_sum([poly(g.x, g.y)], g.weights))
+        # one number for all the points, broadcast to them
+        assert _same_bits(c, quad._level_sum([0.25], g.weights))
+    got = quad.integrate_domain(poly, dom, cfg)
+    fine = quad.domain_grids(dom, cfg)[0]
+    assert _same_bits(got, quad._level_sum([poly(fine.x, fine.y)], fine.weights))
 
-    got = quad._eval_on(poly, x, y)
-    assert _identical(got, _one_block(monkeypatch, lambda: quad._eval_on(poly, x, y)))
-    full = np.full(x.shape, 0.25)
-    assert _identical(quad._eval_on(const, x, y), full)
-    assert _identical(_one_block(monkeypatch, lambda: quad._eval_on(const, x, y)), full)
+
+@pytest.mark.parametrize("cfg, dom", CASES, ids=CASE_IDS)
+def test_area_parts_equal_the_whole_level_jet(cfg, dom):
+    co = coefficients(dom.params)
+    quad.domain_grids.cache_clear()
+    for u in _fields(dom, cfg):
+        for g, p in identities._area_jets(u, dom, cfg):
+            j, w = _whole_level(u, dom, g)
+            assert _same_bits(p.u, j.u)
+            assert _same_bits(p.Du, D_from_jet(co, j, g.x, g.y))
+            assert _same_bits(p.Ou, O_from_jet(j, w))
+            assert _same_bits(p.energy, quad._level_sum([energy_from_jet(j, w)], g.weights))
+
+
+def _reference_terms(which, u, nonlin, dom, cfg) -> list:
+    """(fine, coarse) of each area term of an identity in the order it is
+    checked, each from the whole-level density of a cold jet."""
+    co = coefficients(dom.params)
+    c = float(co.c)
+
+    def f(j):
+        return np.asarray(nonlin.f(j.u), float)
+
+    def F(j):
+        return np.asarray(nonlin.F(j.u), float)
+
+    densities = {
+        "step1": [lambda j, x, y, w: D_from_jet(co, j, x, y) * O_from_jet(j, w),
+                  lambda j, x, y, w: energy_from_jet(j, w)],
+        "step2": [lambda j, x, y, w: D_from_jet(co, j, x, y) * f(j),
+                  lambda j, x, y, w: F(j)],
+        "step3": [lambda j, x, y, w: j.u * O_from_jet(j, w),
+                  lambda j, x, y, w: energy_from_jet(j, w)],
+        "pohozaev": [lambda j, x, y, w: F(j),
+                     lambda j, x, y, w: j.u * f(j),
+                     lambda j, x, y, w: (D_from_jet(co, j, x, y) - c * j.u)
+                     * (f(j) - O_from_jet(j, w))],
+    }[which]
+    levels = [(g, *_whole_level(u, dom, g)) for g in quad.domain_grids(dom, cfg)]
+    return [tuple(quad._level_sum([d(j, g.x, g.y, w)], g.weights) for g, j, w in levels)
+            for d in densities]
+
+
+@pytest.mark.parametrize("cfg, dom", CASES, ids=CASE_IDS)
+def test_identity_area_terms_equal_the_whole_level_functional(monkeypatch, cfg, dom):
+    checked = []
+
+    def spy(fine, coarse, cfg, what="integral"):
+        if what == "area functional":
+            checked.append((fine, coarse))
+        return quad.check_two_level(fine, coarse, cfg, what)
+
+    monkeypatch.setattr(identities, "check_two_level", spy)
+    cubic, power = cubic_nonlinearity(), power_nonlinearity(3.0)
+    # pohozaev first computes F(u) itself, then step2 reads it; step2 first
+    # computes it, then pohozaev reads it
+    order = [("pohozaev", cubic), ("step1", None), ("step2", cubic),
+             ("step3", None), ("step2", power), ("pohozaev", power)]
+    run = {"step1": lambda u, nl: identities.step1_residual(u, dom, cfg),
+           "step2": lambda u, nl: identities.step2_residual(u, nl, dom, cfg),
+           "step3": lambda u, nl: identities.step3_residual(u, dom, cfg),
+           "pohozaev": lambda u, nl: identities.pohozaev_residual(u, nl, dom, cfg)}
+    quad.domain_grids.cache_clear()
+    for u in _fields(dom, cfg):
+        for which, nl in order:
+            checked.clear()
+            run[which](u, nl)
+            want = _reference_terms(which, u, nl, dom, cfg)
+            assert len(checked) == len(want), which
+            for got, ref in zip(checked, want):
+                assert _same_bits(got, ref), (which, got, ref)
+
+
+@pytest.mark.parametrize("cfg", LEVEL_CFGS, ids=[str(c.panels_per_axis) for c in LEVEL_CFGS])
+def test_box_sums_equal_the_whole_level_form(cfg):
+    params = OperatorParams(1, 4)
+    bump = (Const(1.0) - X ** 2) * (Const(1.0) - Y ** 2)
+    for u, lx, ly, pexp in ((bump, 1.0, 1.0, 4.0), (bump * (X + Const(0.5)), 1.5, 0.25, 2.5)):
+        identities._box_sums.cache_clear()
+        got = identities._box_sums(u, lx, ly, pexp, params, cfg)
+        want = [], []
+        for g in quad.domain_grids(identities._Box(lx, ly), cfg):
+            assert g.x.size > quad._BLOCK
+            j = u.jet(g.x, g.y, second=False)
+            want[0].append(quad._level_sum([np.abs(j.u) ** pexp], g.weights))
+            want[1].append(quad._level_sum([norm_from_jet(params, j, g.x, g.y)], g.weights))
+        assert _same_bits(got, want)
 
 
 def test_fine_level_jet_peak_memory_stays_near_its_output():

@@ -1,5 +1,5 @@
-"""Command-line front end, exercised in process through cli.run, and once
-as a child process through cli.main."""
+"""Command-line front end, exercised in process through cli.run, and as a
+child process through cli.main and python -m tricomi."""
 import json
 import math
 import os
@@ -8,7 +8,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tricomi
@@ -238,16 +237,31 @@ def test_verify_bad_field_expression(capsys):
     "(/ 1.0 (* (+ (* 1e300 1e300) x) 2.0))",     # 1 / inf is 0
     "(+ (* 1e300 1e300) x)"])                    # inf passes the vanishing gate
 def test_verify_non_finite_field_is_an_error(text, tmp_path, capsys):
+    # numpy's overflow and invalid warnings are errors under pytest, so a
+    # command that let one out would not get as far as its error line
     rep = tmp_path / "r.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = run(["verify", "step1", "--variant", "omega1", "--m1", "1",
-                  "--m2", "4", "--x0", "-0.5", "--field", text,
-                  "--report", str(rep)])
+    rc = run(["verify", "step1", "--variant", "omega1", "--m1", "1",
+              "--m2", "4", "--x0", "-0.5", "--field", text,
+              "--report", str(rep)])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: non-finite field: ")
     assert json.loads(rep.read_text())["error"].startswith("DomainError: non-finite field")
+
+
+def test_a_non_finite_field_prints_one_error_line_and_no_warnings(tmp_path):
+    # outside pytest's warning filters numpy would print its overflow and
+    # invalid-value warnings ahead of the error line
+    env = dict(os.environ, PYTHONPATH=str(Path(tricomi.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tricomi", "verify", "step1", "--variant", "omega1",
+         "--m1", "1", "--m2", "4", "--x0", "-0.5",
+         "--field", "(* 0.0 (* 1e300 (* 1e300 x)))"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: non-finite field:")
 
 
 def test_verify_error_report_still_written(tmp_path):

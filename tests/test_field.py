@@ -364,6 +364,35 @@ def _random_diff_tree(rng, depth=0):
     return _random_diff_tree(rng, depth + 1) / (Const(2.0) + X ** 2 + Y ** 2)
 
 
+def _diff(u, var):
+    """The symbolic derivative of u in var ("x" or "y") as a new tree, a
+    second route to the jets' derivatives; |.|**gamma has no such tree."""
+    def d(v):
+        return _diff(v, var)
+
+    if isinstance(u, Const):
+        return Const(0.0)
+    if isinstance(u, Coord):
+        return Const(1.0) if var == u.name else Const(0.0)
+    if isinstance(u, (Add, Sub)):
+        return type(u)(d(u.a), d(u.b))
+    if isinstance(u, Mul):
+        return Add(Mul(d(u.a), u.b), Mul(u.a, d(u.b)))
+    if isinstance(u, Div):
+        return Div(Sub(Mul(d(u.a), u.b), Mul(u.a, d(u.b))), Mul(u.b, u.b))
+    if isinstance(u, Neg):
+        return Neg(d(u.a))
+    if isinstance(u, IPow):
+        if u.n == 0:
+            return Const(0.0)
+        if u.n == 1:
+            return d(u.a)
+        return Mul(Mul(Const(float(u.n)), IPow(u.a, u.n - 1)), d(u.a))
+    if isinstance(u, OddRootPow):
+        return Mul(Mul(Const(u.p / u.q), root_power(u.a, u.p - u.q, u.q)), d(u.a))
+    raise NotImplementedError(f"no derivative tree of {type(u).__name__}")
+
+
 def test_divergence_of_X_equals_O():
     # div(Xu) = Ou, with the X components differentiated as trees
     p14 = OperatorParams(1, 4)
@@ -371,9 +400,9 @@ def test_divergence_of_X_equals_O():
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = _random_diff_tree(rng)
-        comp_x = -(Y ** m1) * u.diff("x")
-        comp_y = -(X ** m2) * u.diff("y")
-        div = comp_x.diff("x") + comp_y.diff("y")
+        comp_x = -(Y ** m1) * _diff(u, "x")
+        comp_y = -(X ** m2) * _diff(u, "y")
+        div = _diff(comp_x, "x") + _diff(comp_y, "y")
         for _ in range(5):
             p = Point(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5)))
             got = jet2(div, p).u
@@ -592,8 +621,6 @@ def test_abs_power():
     assert (j0.u, j0.ux, j0.uxx) == (0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         abs_power(X, 2.0)
-    with pytest.raises(NotImplementedError):
-        u.diff("x")
 
 
 def test_fields_reject_boolean_operands():

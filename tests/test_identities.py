@@ -3,6 +3,7 @@ one-dimensional Hardy package, each checked against a route the module under
 test does not use."""
 import json
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from tricomi import identities, quad
 from tricomi.errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                             PreconditionViolated)
-from tricomi.field import (X, Y, Const, SampleFn1D, ScalarField,
+from tricomi.field import (X, Y, Const, Jet2, SampleFn1D, ScalarField,
                            VANISH_AC, manufactured)
 from tricomi.geometry import (BoundaryCurveId, ParametricArc, Point, Vec2,
                               omega1, omega4)
@@ -391,12 +392,13 @@ def test_identities_honor_quad_config():
 SMALL = QuadConfig(panels_per_axis=8)
 
 
-def _same_jet(a, b):
-    return all(np.array_equal(getattr(a, k), getattr(b, k))
-               for k in ("u", "ux", "uy", "uxx", "uyy"))
+def _same_jet(a, b, parts=("u", "ux", "uy")):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in parts)
 
 
 def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
+    # boundary-piece levels keep jets, and a new jet reuses the kept jet of
+    # every subtree on its level; area levels keep parts, not jets
     memos, found = [], []
     jet = ScalarField.jet
 
@@ -418,16 +420,21 @@ def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
     for dom in reference_domains():
         base = manufactured(dom)
         second = base * (Const(1.0) + X / 2 - Y / 3)
-        quad.domain_grids.cache_clear()    # cold levels, nothing kept yet
-        identities._area_jets(base, dom, SMALL)
+        quad.curve_grids.cache_clear()     # cold levels, nothing kept yet
+        identities._curve_jets(base, dom, BoundaryCurveId.BC, SMALL)
         memos.clear()
         found.clear()
-        levels = identities._area_jets(second, dom, SMALL)
+        levels = identities._curve_jets(second, dom, BoundaryCurveId.BC, SMALL)
         assert base in found       # the base field's kept jet was reused
-        assert memos == [g.memo for g, _, _ in levels]
-        for g, j, _ in levels:
-            # an area level holds the second-order jet
-            assert _same_jet(j, second.jet(g.x, g.y))
+        assert memos == [g.memo for g, _ in levels]
+        for g, (j, _) in levels:
+            # a boundary-piece level holds the first-order jet
+            assert _same_jet(j, second.jet(g.x, g.y, second=False))
+            assert (j.uxx, j.uyy) == (None, None)
+        quad.domain_grids.cache_clear()
+        memos.clear()
+        identities._area_jets(second, dom, SMALL)
+        assert memos == []         # area passes walk the tree cold, per block
 
 
 def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
@@ -465,23 +472,33 @@ def test_scaling_ratios_evaluates_one_jet_per_field_and_box_level(monkeypatch):
     assert got[1]["lp_ratio"] == 2.0 ** co.kappa
 
 
+def test_an_overflowing_box_sum_is_not_finite_without_a_warning():
+    # |u|**pexp overflows inside the streamed pass; warnings are errors here
+    identities._box_sums.cache_clear()
+    u = BUMP * (Const(1.0) + X / 3 - Y / 5)
+    co = coefficients(OperatorParams(1, 4))
+    with pytest.raises(NonConvergence, match="box integral is not finite"):
+        scaling_ratios(u, 0.5, 1e6, co, QuadConfig(panels_per_axis=4))
+
+
 def test_jets_are_released_with_their_domain():
     dom = omega1(1, 4, -0.5)
     levels = identities._area_jets(manufactured(dom), dom, SMALL)
-    kept, first = weakref.ref(levels[0][1].u), levels[0][1].u.copy()
+    kept = [weakref.ref(a) for a in levels[0][1][:3]]
+    first = [a.copy() for a in levels[0][1][:3]]
     del levels
-    assert kept() is not None      # still on the cached level
+    assert all(k() is not None for k in kept)      # still on the cached level
     other = omega4(1, 0, -0.5)
     identities._area_jets(manufactured(other), other, SMALL)
-    assert kept() is None          # the walk leaves no cycle: no gc needed
-    # asked again, the released jet is a miss and comes back the same
+    assert all(k() is None for k in kept)  # the walk leaves no cycle: no gc needed
+    # asked again, the released parts are a miss and come back the same
     misses = identities._area_jets.cache_info().misses
     again = identities._area_jets(manufactured(dom), dom, SMALL)
     assert identities._area_jets.cache_info().misses == misses + 1
-    assert np.array_equal(again[0][1].u, first)
+    assert all(np.array_equal(a, b) for a, b in zip(again[0][1], first))
     # the scaling boxes take the one kept grid pair too, so the domain's
-    # levels and their jets go when a box is built
-    kept = weakref.ref(again[0][1].u)
+    # levels and their parts go when a box is built
+    kept = weakref.ref(again[0][1].Du)
     del again
     identities._box_sums.cache_clear()
     scaling_ratios(BUMP, 2.0, 4.0, coefficients(dom.params), SMALL)
@@ -492,10 +509,82 @@ def test_jets_are_released_with_their_domain():
 def test_stored_jets_and_weights_are_read_only():
     dom = omega4(1, 0, -0.5)
     u = manufactured(dom)
-    (_, j, (ym1, xm2)), _ = identities._area_jets(u, dom, SMALL)
-    (_, jc, _), _ = identities._curve_jets(u, dom, BoundaryCurveId.BC, SMALL)
-    for arr in (j.u, j.uxx, ym1, xm2, jc.u, jc.uy):
+    (_, p), _ = identities._area_jets(u, dom, SMALL)
+    (_, (jc, (ym1, xm2))), _ = identities._curve_jets(u, dom, BoundaryCurveId.BC, SMALL)
+    for arr in (p.u, p.Du, p.Ou, ym1, xm2, jc.u, jc.uy):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     # a curve level keeps the first-order jet its forms read and no more
     assert (jc.uxx, jc.uyy) == (None, None)
+
+
+def _memo_arrays(level) -> list:
+    # every array a level's memo holds, failing on a jet
+    found = []
+    for value in level.memo.values():
+        assert not isinstance(value, Jet2)
+        for a in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(a, Jet2)
+            if isinstance(a, np.ndarray):
+                found.append(a)
+    return found
+
+
+def test_an_area_level_keeps_three_arrays_per_field():
+    dom = omega1(1, 4, -0.5)
+    base = manufactured(dom)
+    fields = (base, base * (Const(1.0) + X / 2 - Y / 3))
+    quad.domain_grids.cache_clear()
+    for u in fields:
+        step1_residual(u, dom, SMALL)
+        step3_residual(u, dom, SMALL)
+        for nl in (cubic_nonlinearity(), power_nonlinearity(3.0)):
+            step2_residual(u, nl, dom, SMALL)
+            pohozaev_residual(u, nl, dom, SMALL)
+    for g in quad.domain_grids(dom, SMALL):
+        arrays = _memo_arrays(g)
+        assert len(arrays) == 3 * len(fields)
+        assert all(a.dtype == np.float64 and a.shape == g.x.shape for a in arrays)
+        # no weights: every other entry is a number, the F(u) sums
+        assert all(isinstance(v, float) for v in g.memo.values()
+                   if not isinstance(v, tuple))
+
+
+# an identity on a warm level: (identity, area terms of its one pass)
+_WARM_PASSES = [("step1", 1), ("step2", 1), ("step3", 1), ("pohozaev", 2)]
+
+
+@pytest.mark.parametrize("which, terms", _WARM_PASSES, ids=[w for w, _ in _WARM_PASSES])
+def test_an_identity_on_a_warm_level_allocates_one_output_per_term(which, terms):
+    dom = reference_domains()[0]
+    u = manufactured(dom)
+    nl = cubic_nonlinearity()
+    run = {"step1": lambda: step1_residual(u, dom),
+           "step2": lambda: step2_residual(u, nl, dom),
+           "step3": lambda: step3_residual(u, dom),
+           "pohozaev": lambda: pohozaev_residual(u, nl, dom)}[which]
+    step2_residual(u, nl, dom)    # parts and F(u) sums kept on both levels
+    run()                         # its curve jets too
+    fine, _ = quad.domain_grids(dom, QuadConfig())
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= terms * fine.x.nbytes + (2 << 20), (peak, fine.x.nbytes)
+
+
+def test_box_sums_allocate_their_two_outputs():
+    cfg = QuadConfig()
+    fine, _ = quad.domain_grids(identities._Box(1.0, 1.0), cfg)   # warm grids
+    identities._box_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        identities._box_sums(BUMP, 1.0, 1.0, 4.0, OperatorParams(1, 4), cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * fine.x.nbytes + (2 << 20), (peak, fine.x.nbytes)
