@@ -34,10 +34,9 @@ from .identities import (HardyParams, IdentityReport, REPORT_PASS_RTOL,
                          equivalence_chain, hardy_GL, hardy_GL_numeric,
                          hardy_constants, hardy_inequality_check,
                          hardy_reports, hardy_weight_exponents, omega_forms,
-                         pohozaev_residual, polynomial_sample_fn,
-                         random_boundary_phi, random_hardy_phi,
-                         reference_domains, scaling_ratios, scaling_reports,
-                         selftest_report, sigma_boundary_sign,
+                         pohozaev_residual, random_boundary_phi,
+                         random_hardy_phi, reference_domains, scaling_ratios,
+                         scaling_reports, selftest_report, sigma_boundary_sign,
                          sigma_sign_report, step1_residual, step2_residual,
                          step3_residual)
 from .cli import run

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -37,6 +37,7 @@ _NONLINEARITIES = {"cubic": lambda args: cubic_nonlinearity(),
                    "linear": lambda args: linear_nonlinearity()}
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name.  None means unset: a
     required pair, an anchor on the variant's axis, or scaling's lams."""
@@ -178,9 +179,14 @@ def _parse(argv) -> argparse.Namespace:
     for action in sub._actions:
         if loaded.get(action.dest) is not None:
             _check_config_value(action, loaded[action.dest])
-    sub.set_defaults(**{k: v for k, v in loaded.items()
-                        if v is not None and getattr(args, k) == sub.get_default(k)})
-    return ap.parse_args(argv)
+    given = {k: v for k, v in loaded.items()
+             if v is not None and getattr(args, k) == sub.get_default(k)}
+    undo = {k: sub.get_default(k) for k in given}
+    sub.set_defaults(**given)
+    try:
+        return ap.parse_args(argv)
+    finally:   # the parser is shared by later runs in this process
+        sub.set_defaults(**undo)
 
 
 def _quad_config(args) -> QuadConfig:

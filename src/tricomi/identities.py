@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from dataclasses import field as _default
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "hardy_inequality_check",
     "equivalence_chain",
     "hardy_reports",
-    "polynomial_sample_fn",
     "random_hardy_phi",
     "random_boundary_phi",
     "reference_domains",
@@ -592,25 +591,14 @@ def scaling_reports(u: ScalarField, lam: float, pexp: float,
 
 @dataclass(frozen=True)
 class HardyParams:
-    p: float = 2.0
-    q: float = 2.0
+    """The interval (y_c, 0) of the p = q = 2 Hardy package."""
     y_c: float = -1.0
 
     def __post_init__(self):
         if not math.isfinite(self.y_c):
             raise ValueError(f"y_c must be finite, got {self.y_c}")
-        if not (1.0 < self.p <= self.q and math.isfinite(self.q)):
-            raise ValueError("need 1 < p <= q < infinity")
         if not self.y_c < 0:
             raise ValueError("need y_c < 0")
-
-    @property
-    def p_conj(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
-    def q_conj(self) -> float:
-        return self.q / (self.q - 1.0)
 
 
 def hardy_weight_exponents(params: OperatorParams) -> tuple[Fraction, Fraction]:
@@ -642,54 +630,39 @@ def hardy_GL(params: OperatorParams, y_c: float, x: float) -> float:
 def hardy_GL_numeric(params: OperatorParams, pq: HardyParams, x: float,
                      cfg: QuadConfig = QuadConfig()) -> float:
     """The defining Muckenhoupt product by direct quadrature:
-    (int_x^0 w dt)^(1/q) * (int_{y_c}^x v^(1-p') dt)^(1/p')."""
+    (int_x^0 w dt)^(1/2) * (int_{y_c}^x v^(-1) dt)^(1/2)."""
     _require_mu(params)
     if not (pq.y_c < x < 0):
         raise OutOfRange(f"need y_c < x < 0, got x = {x}")
     e1, e2 = (float(e) for e in hardy_weight_exponents(params))
-    pc = pq.p_conj
     i_w = quad.integrate_neg_interval(lambda t: (-t) ** e2, x, cfg)
 
-    # v^(1-p') blows up like a power toward 0; the substitution t = -exp(-s)
+    # v^(-1) blows up like a power toward 0; the substitution t = -exp(-s)
     # turns it into a smooth exponential that composite Gauss resolves
     def g(s):
         t = -np.exp(-s)
-        return (-t) ** (e1 * (1.0 - pc)) * np.exp(-s)
+        return (-t) ** -e1 * np.exp(-s)
 
     i_v = quad.integrate_interval(g, -math.log(-pq.y_c), -math.log(-x), cfg)
-    return i_w ** (1.0 / pq.q) * i_v ** (1.0 / pc)
+    return i_w ** 0.5 * i_v ** 0.5
 
 
 def _mucken_product_grid(params: OperatorParams, pq: HardyParams,
                          xs: np.ndarray) -> np.ndarray:
-    # closed antiderivatives of the power weights, vectorized over xs
+    # closed antiderivatives of w and v^(-1) over xs (1 - e1 = -mu/c2 != 0)
     e1, e2 = (float(e) for e in hardy_weight_exponents(params))
-    pc = pq.p_conj
-    a = pq.y_c
     iw = (-xs) ** (e2 + 1.0) / (e2 + 1.0)
-    ve = e1 * (1.0 - pc)
-    if abs(ve + 1.0) < 1e-15:
-        iv = np.log((-a) / (-xs))
-    else:
-        iv = ((-a) ** (ve + 1.0) - (-xs) ** (ve + 1.0)) / (ve + 1.0)
-    return iw ** (1.0 / pq.q) * iv ** (1.0 / pc)
+    iv = ((-pq.y_c) ** (1.0 - e1) - (-xs) ** (1.0 - e1)) / (1.0 - e1)
+    return iw ** 0.5 * iv ** 0.5
 
 
 def hardy_constants(params: OperatorParams, pq: HardyParams) -> dict:
-    """Muckenhoupt constant M_L, the bridging factor r(p, q), and the
-    two-sided bounds [M_L, r M_L] for the best constant.  For p = q = 2
-    everything is an exact rational and the closed form is confirmed by a
-    10^4-point grid supremum."""
+    """Muckenhoupt constant M_L, the bridging factor r(2, 2) = 2 and the
+    bounds [M_L, r M_L] for the best constant, as exact rationals; a
+    10^4-point grid supremum confirms the closed form of M_L."""
     co = _require_mu(params)
-    exact22 = pq.p == 2.0 and pq.q == 2.0
-    if exact22:
-        m_l = Fraction(co.c2, co.mu)
-        r = Fraction(2)
-    else:
-        pc = pq.p_conj
-        r = float((1.0 + pq.q / pc) ** (1.0 / pq.q)
-                  * (1.0 + pc / pq.q) ** (1.0 / pc))
-        m_l = None
+    m_l = Fraction(co.c2, co.mu)
+    r = Fraction(2)
     n = 10_000
     half = n // 2
     if not -pq.y_c * 1e-18 > 0:
@@ -707,65 +680,92 @@ def hardy_constants(params: OperatorParams, pq: HardyParams) -> dict:
     if not math.isfinite(grid_sup):
         raise OutOfRange(f"y_c = {pq.y_c} is out of range: the grid supremum "
                          f"is {grid_sup}")
-    if exact22:
-        if abs(grid_sup - float(m_l)) > 1e-8 * max(1.0, float(m_l)):
-            raise NonConvergence(
-                f"grid supremum {grid_sup!r} does not reach M_L = {m_l}")
-    else:
-        m_l = grid_sup
+    if abs(grid_sup - float(m_l)) > 1e-8 * max(1.0, float(m_l)):
+        raise NonConvergence(
+            f"grid supremum {grid_sup!r} does not reach M_L = {m_l}")
     return {"M_L": m_l, "r": r, "C_L_low": m_l, "C_L_high": r * m_l,
             "grid_sup": grid_sup}
 
 
-def polynomial_sample_fn(coeffs_list, a: float, b: float) -> SampleFn1D:
-    """SampleFn1D from polynomial coefficients (lowest degree first)."""
-    p = np.polynomial.Polynomial(list(coeffs_list))
-    return SampleFn1D(p, p.deriv(), a, b)
+def _phi_base(y_c: float, at_zero: bool) -> np.polynomial.Polynomial:
+    base = np.polynomial.Polynomial([-y_c, 1.0])   # (t - y_c), times -t if at_zero
+    return base * np.polynomial.Polynomial([0.0, -1.0]) if at_zero else base
 
 
 def random_hardy_phi(y_c: float, rng) -> SampleFn1D:
     """Random polynomial vanishing at y_c (the Hardy-side requirement)."""
-    base = np.polynomial.Polynomial([-y_c, 1.0])   # (t - y_c)
-    p = base * np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, size=4))
+    p = _phi_base(y_c, False) * np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, size=4))
     return SampleFn1D(p, p.deriv(), y_c, 0.0)
 
 
 def random_boundary_phi(y_c: float, rng) -> SampleFn1D:
     """Random polynomial vanishing at both ends of [y_c, 0]."""
-    base = np.polynomial.Polynomial([-y_c, 1.0]) * np.polynomial.Polynomial([0.0, -1.0])
-    p = base * np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, size=4))
+    p = _phi_base(y_c, True) * np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, size=4))
     return SampleFn1D(p, p.deriv(), y_c, 0.0)
 
 
-def _require_phi_zero(phi: SampleFn1D, ends, message: str):
-    # phi must vanish at each of ends, relative to its size on [a, b]
-    t = np.linspace(phi.a, phi.b, 257)
-    scale = 1.0 + float(np.max(np.abs(np.asarray(phi.fn(t), float))))
-    if any(abs(float(phi.fn(end))) > 1e-12 * scale for end in ends):
-        raise PreconditionViolated(message)
+# The sweeps draw and evaluate their phi this many at a time, so each
+# temporary holds 16 x 512 doubles (64 KiB) however many the sweeps are.
+_PHI_BLOCK = 16
 
 
-def _weighted_square(e: float, fn, y_c: float, cfg: QuadConfig) -> float:
-    """int_{y_c}^0 (-t)^e fn(t)^2 dt."""
-    return quad.integrate_neg_interval(
+def _rows_at(c, t):
+    # Polynomial.__call__ of each column of c: its domain map, then Horner
+    return np.polynomial.polynomial.polyval(0.0 + 1.0 * t, c)
+
+
+def _swept(check, y_c: float, at_zero: bool, sweeps: int, rng) -> Iterator[float]:
+    """check's value for each phi random_*_phi would draw from rng, in order.
+    check gets blocks of phi whose fn and dfn return one row per phi: one draw
+    per block is the stream of its single draws, and each row is built as
+    Polynomial builds it (np.convolve, then j c_j), bit for bit that phi."""
+    base = _phi_base(y_c, at_zero).coef
+    for start in range(0, sweeps, _PHI_BLOCK):
+        r = rng.uniform(-1.0, 1.0, size=(min(_PHI_BLOCK, sweeps - start), 4))
+        c = np.array([np.convolve(base, row) for row in r]).T
+        dc = np.arange(1, len(c))[:, None] * c[1:]
+        phi = SampleFn1D(partial(_rows_at, c), partial(_rows_at, dc), y_c, 0.0)
+        yield from check(phi).tolist()
+
+
+def _weighted_square(e: float, fn, y_c: float, cfg: QuadConfig) -> tuple:
+    """(fine, coarse) sums of int_{y_c}^0 (-t)^e fn(t)^2 dt, one per row."""
+    return quad.neg_interval_sums(
         lambda t: (-t) ** e * np.asarray(fn(t), float) ** 2, y_c, cfg)
 
 
+def _settled(phi: SampleFn1D, ends, message: str, cfg: QuadConfig, *sums) -> list:
+    """Each integral's fine sums (floats for one phi), refused row by row as a
+    loop over the phi would: a row must vanish at ends relative to its size
+    on [a, b] (NaN is left to the two-level check), then settle each integral."""
+    t = np.linspace(phi.a, phi.b, 257)
+    scale = 1.0 + np.max(np.abs(np.asarray(phi.fn(t), float)), axis=-1)
+    bad = np.any([np.abs(np.asarray(phi.fn(end), float)) > 1e-12 * scale
+                  for end in ends], axis=0)
+    for i in np.ndindex(bad.shape):
+        if bad[i]:
+            raise PreconditionViolated(message)
+        for fine, coarse in sums:
+            check_two_level(float(fine[i]), float(coarse[i]), cfg, "interval integral")
+    return [fine if bad.ndim else float(fine) for fine, _ in sums]
+
+
 def boundary_energy_I(params: OperatorParams, y_c: float, phi: SampleFn1D,
-                      cfg: QuadConfig = QuadConfig()) -> float:
+                      cfg: QuadConfig = QuadConfig()):
     """The boundary energy functional reduced to (y_c, 0):
     I = 2 c2 A int v (phi')^2 - (mu^2 / (2 c2)) A int w phi^2,
-    with A = (c2/c1)**(m2/c2) > 0.  Nonnegative by the Hardy inequality."""
+    with A = (c2/c1)**(m2/c2) > 0.  Nonnegative by the Hardy inequality.
+    One I per row for a block phi, whose fn and dfn return rows."""
     co = _require_mu(params)
     if not y_c < 0:
         raise ValueError("need y_c < 0")
     if abs(phi.a - y_c) > 1e-12 or abs(phi.b) > 1e-12:
         raise ValueError("phi must live on [y_c, 0]")
-    _require_phi_zero(phi, (y_c, 0.0), "boundary energy needs phi(y_c) = phi(0) = 0")
     e1, e2 = (float(e) for e in hardy_weight_exponents(params))
     a_fac = (co.c2 / co.c1) ** (params.m2 / co.c2)
-    i1 = _weighted_square(e1, phi.dfn, y_c, cfg)
-    i2 = _weighted_square(e2, phi.fn, y_c, cfg)
+    i1, i2 = _settled(phi, (y_c, 0.0), "boundary energy needs phi(y_c) = phi(0) = 0", cfg,
+                      _weighted_square(e1, phi.dfn, y_c, cfg),
+                      _weighted_square(e2, phi.fn, y_c, cfg))
     return 2.0 * co.c2 * a_fac * i1 - (co.mu ** 2 / (2.0 * co.c2)) * a_fac * i2
 
 
@@ -774,17 +774,16 @@ def hardy_inequality_check(params: OperatorParams, pq: HardyParams,
                            cfg: QuadConfig = QuadConfig()) -> Residual:
     """[int w phi^2]^(1/2) <= C_L [int v (phi')^2]^(1/2) with C_L = 2 c2/mu,
     for phi vanishing at y_c.  Returns Residual(lhs, rhs); the inequality
-    holds when lhs <= rhs."""
+    holds when lhs <= rhs.  One lhs and rhs per row for a block phi."""
     co = _require_mu(params)
-    if not (pq.p == 2.0 and pq.q == 2.0):
-        raise ValueError("the closed-form constant is the p = q = 2 case")
     if abs(phi.a - pq.y_c) > 1e-12:
         raise ValueError("phi must live on [y_c, 0]")
-    _require_phi_zero(phi, (pq.y_c,), "the Hardy inequality needs phi(y_c) = 0")
     e1, e2 = (float(e) for e in hardy_weight_exponents(params))
-    lhs = math.sqrt(_weighted_square(e2, phi.fn, pq.y_c, cfg))
-    rhs = (2.0 * co.c2 / co.mu) * math.sqrt(_weighted_square(e1, phi.dfn, pq.y_c, cfg))
-    return Residual(lhs, rhs)
+    i2, i1 = _settled(phi, (pq.y_c,), "the Hardy inequality needs phi(y_c) = 0", cfg,
+                      _weighted_square(e2, phi.fn, pq.y_c, cfg),
+                      _weighted_square(e1, phi.dfn, pq.y_c, cfg))
+    sqrt = np.sqrt if np.ndim(i1) else math.sqrt
+    return Residual(sqrt(i2), (2.0 * co.c2 / co.mu) * sqrt(i1))
 
 
 def equivalence_chain(params: OperatorParams) -> bool:
@@ -819,8 +818,8 @@ def _chain_report(params: OperatorParams) -> IdentityReport:
 
 @_timed
 def _energy_sweep_report(params, pq, sweeps, rng, cfg) -> IdentityReport:
-    worst = min(boundary_energy_I(params, pq.y_c, random_boundary_phi(pq.y_c, rng), cfg)
-                for _ in range(sweeps))
+    worst = min(_swept(lambda phi: boundary_energy_I(params, pq.y_c, phi, cfg),
+                       pq.y_c, True, sweeps, rng))
     return _record("hardy-energy-sweep", params, worst, worst, worst >= -1e-9,
                    sides={"sweeps": sweeps, "bound": -1e-9},
                    note="minimum of the boundary energy functional over random phi")
@@ -828,9 +827,11 @@ def _energy_sweep_report(params, pq, sweeps, rng, cfg) -> IdentityReport:
 
 @_timed
 def _inequality_sweep_report(params, pq, sweeps, rng, cfg) -> IdentityReport:
-    worst = max(r.lhs - r.rhs for r in (
-        hardy_inequality_check(params, pq, random_hardy_phi(pq.y_c, rng), cfg)
-        for _ in range(sweeps)))
+    def margin(phi):
+        r = hardy_inequality_check(params, pq, phi, cfg)
+        return r.lhs - r.rhs
+
+    worst = max(_swept(margin, pq.y_c, False, sweeps, rng))
     return _record("hardy-inequality-sweep", params, worst, worst, worst <= 1e-10,
                    sides={"sweeps": sweeps, "bound": 1e-10},
                    note="max of lhs - rhs over random phi; nonpositive means "

@@ -26,6 +26,7 @@ __all__ = [
     "GridLevel",
     "integrate_interval",
     "integrate_neg_interval",
+    "neg_interval_sums",
     "integrate_domain",
     "integrate_curve",
     "integrate_boundary",
@@ -128,16 +129,23 @@ def integrate_interval(f, lo: float, hi: float, cfg: QuadConfig) -> float:
     return check_two_level(fine, coarse, cfg, "interval integral")
 
 
-def integrate_neg_interval(f, y_lo: float, cfg: QuadConfig) -> float:
-    """Integral of f over [y_lo, 0] for y_lo < 0, in the graded variable
-    t = -s^2 so integrands with half-integer behavior at 0 become smooth."""
+def neg_interval_sums(f, y_lo: float, cfg: QuadConfig) -> tuple:
+    """Unchecked (fine, coarse) level sums of the integral of f over
+    [y_lo, 0], y_lo < 0, in the graded variable t = -s^2 that smooths
+    half-integer powers at 0.  A sum reduces the last axis: for rows of f
+    values, one sum per row, bit for bit that row's own sum."""
     if not y_lo < 0:
         raise ValueError("need y_lo < 0")
+    nodes = (_panel_nodes(0.0, math.sqrt(-y_lo), cfg.gauss_order, panels)
+             for panels in cfg.levels)
+    return tuple(np.sum(2.0 * s * np.asarray(f(-(s * s)), dtype=float) * w, axis=-1)
+                 for s, w in nodes)
 
-    def g(s):
-        return 2.0 * s * np.asarray(f(-(s * s)), dtype=float)
 
-    return integrate_interval(g, 0.0, math.sqrt(-y_lo), cfg)
+def integrate_neg_interval(f, y_lo: float, cfg: QuadConfig) -> float:
+    """Two-level integral of f over [y_lo, 0] from neg_interval_sums."""
+    fine, coarse = neg_interval_sums(f, y_lo, cfg)
+    return check_two_level(float(fine), float(coarse), cfg, "interval integral")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Blocked evaluation: jets, area parts and area sums over a grid level are
-computed in blocks of quad._BLOCK points and must equal one whole-array
-evaluation bit for bit, raise the same errors, and keep their temporaries
-small."""
+computed in blocks of quad._BLOCK points, and the Hardy sweeps' random phi
+in blocks of identities._PHI_BLOCK rows.  Each must equal one whole-array
+or one-phi evaluation bit for bit, raise the same errors, and keep its
+temporaries small."""
 import gc
 import itertools
 import tracemalloc
@@ -270,3 +271,95 @@ def test_fine_level_jet_peak_memory_stays_near_its_output():
             tracemalloc.stop()
         out = sum(getattr(j, k).nbytes for k in PARTS[second])
         assert peak <= 1.5 * out, (second, peak, out)
+
+
+# ---------------------------------------------------------------------------
+# the Hardy sweeps: blocks of random phi against one phi at a time
+
+HARDY_PAIRS = [(1, 4), (3, 12), (7, 6), (1, 0)]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _graded(e, fn, y_c):
+    # int_{y_c}^0 (-t)^e fn(t)^2 dt in s, t = -s^2, through
+    # quad.integrate_interval: the one-phi arithmetic, apart from
+    # quad.neg_interval_sums
+    def g(s):
+        t = -(s * s)
+        return 2.0 * s * ((-t) ** e * np.asarray(fn(t), float) ** 2)
+    return quad.integrate_interval(g, 0.0, np.sqrt(-y_c), QuadConfig())
+
+
+def _reference(params, y_c, bnd, phi):
+    # the boundary energy of bnd and the Hardy (lhs, rhs) of phi, written out
+    co = coefficients(params)
+    e1, e2 = (float(e) for e in identities.hardy_weight_exponents(params))
+    a_fac = (co.c2 / co.c1) ** (params.m2 / co.c2)
+    energy = (2.0 * co.c2 * a_fac * _graded(e1, bnd.dfn, y_c)
+              - (co.mu ** 2 / (2.0 * co.c2)) * a_fac * _graded(e2, bnd.fn, y_c))
+    return energy, np.sqrt(_graded(e2, phi.fn, y_c)), \
+        (2.0 * co.c2 / co.mu) * np.sqrt(_graded(e1, phi.dfn, y_c))
+
+
+@pytest.mark.parametrize("sweeps", [1, 16, 17, 100])
+@pytest.mark.parametrize("y_c", [-1.0, -0.3, -7.5])
+@pytest.mark.parametrize("m1, m2", HARDY_PAIRS)
+def test_hardy_sweep_blocks_equal_the_single_phi_reference(m1, m2, y_c, sweeps):
+    # 17 is not a whole number of blocks; each sweep draws from one rng, the
+    # energy sweep first, as hardy_reports does
+    params, pq, seed = OperatorParams(m1, m2), identities.HardyParams(y_c=y_c), 11 * m1 + m2
+    ref_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    bnds = [identities.random_boundary_phi(y_c, ref_rng) for _ in range(sweeps)]
+    phis = [identities.random_hardy_phi(y_c, ref_rng) for _ in range(sweeps)]
+    energy = [identities.boundary_energy_I(params, y_c, bnd) for bnd in bnds]
+    ineq = [identities.hardy_inequality_check(params, pq, phi) for phi in phis]
+    assert all(type(v) is float for v in energy)
+    assert all(type(r.lhs) is float and type(r.rhs) is float for r in ineq)
+    want = [_reference(params, y_c, bnd, phi) for bnd, phi in zip(bnds, phis)]
+    assert np.array_equal(_bits(energy), _bits([w[0] for w in want]))
+    assert np.array_equal(_bits([(r.lhs, r.rhs) for r in ineq]), _bits([w[1:] for w in want]))
+
+    energy_blocks, ineq_blocks = [], []
+
+    def energy_of(phi):
+        energy_blocks.append(identities.boundary_energy_I(params, y_c, phi))
+        return energy_blocks[-1]
+
+    def margin_of(phi):
+        ineq_blocks.append(identities.hardy_inequality_check(params, pq, phi))
+        return ineq_blocks[-1].lhs - ineq_blocks[-1].rhs
+
+    energies = list(identities._swept(energy_of, y_c, True, sweeps, block_rng))
+    margins = list(identities._swept(margin_of, y_c, False, sweeps, block_rng))
+    full, rest = divmod(sweeps, identities._PHI_BLOCK)
+    sizes = [identities._PHI_BLOCK] * full + [rest] * (rest > 0)
+    assert [len(b) for b in energy_blocks] == [len(r.lhs) for r in ineq_blocks] == sizes
+    assert np.array_equal(_bits(np.concatenate(energy_blocks)), _bits(energy))
+    assert np.array_equal(_bits(energies), _bits(energy))
+    for side in ("lhs", "rhs"):
+        assert np.array_equal(_bits(np.concatenate([getattr(r, side) for r in ineq_blocks])),
+                              _bits([getattr(r, side) for r in ineq]))
+    assert np.array_equal(_bits(margins), _bits([r.lhs - r.rhs for r in ineq]))
+    assert block_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    records = list(identities.hardy_reports(params, pq, sweeps=sweeps, seed=seed))
+    assert _bits(records[2].lhs) == _bits(min(energy))
+    assert _bits(records[3].lhs) == _bits(max(r.lhs - r.rhs for r in ineq))
+
+
+def test_hardy_sweep_memory_does_not_grow_with_the_sweeps():
+    params = OperatorParams(1, 4)
+
+    def peak(sweeps):
+        tracemalloc.start()
+        try:
+            list(identities.hardy_reports(params, sweeps=sweeps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)   # the node caches fill on the first run
+    assert peak(1000) <= peak(100) + 256 * 1024

@@ -303,6 +303,42 @@ def test_quadrature_has_no_grading_switch(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: unknown config keys: no_grading\n")
 
 
+def test_config_defaults_do_not_outlive_their_run(tmp_path):
+    # the parser is built once per process, so a config file's values must
+    # be undone after its parse: the next plain run sees the flag defaults
+    cfg, rep = tmp_path / "cfg.json", tmp_path / "r.json"
+    cfg.write_text(json.dumps({"sweeps": 3, "m1": 1, "m2": 4}))
+    assert run(["hardy", "--config", str(cfg), "--report", str(rep)]) == 0
+    assert {r["sides"].get("sweeps") for r in written(rep)} == {None, 3}
+    assert run(["hardy", "--m1", "1", "--m2", "4", "--report", str(rep)]) == 0
+    assert {r["sides"].get("sweeps") for r in written(rep)} == {None, 100}
+    assert run(["hardy", "--report", str(rep)]) == 2   # m1, m2 unset again
+
+
+def test_the_parser_is_built_once():
+    from tricomi import cli
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("flags, fields", [
+    (["--m1", "3", "--m2", "12", "--gauss-order", "8", "--panels", "4",
+      "--rel-tol", "1e-13", "--abs-tol", "1e-300"],
+     {"fine": 0.08148294122634003, "coarse": 0.08148293960475966, "panels": [4, 2]}),
+    (["--m1", "3", "--m2", "12", "--gauss-order", "2", "--panels", "2"],
+     {"fine": 0.03369151445471917, "coarse": 0.0003789315780409391, "panels": [2, 1]}),
+], ids=["tight-tolerance", "two-point-gauss"])
+def test_a_hardy_sweep_that_does_not_settle_names_its_first_integral(
+        tmp_path, capsys, flags, fields):
+    # the energy sweep fails on the first integral a loop over its phi would
+    # check; the two records before it are kept
+    rep = tmp_path / "r.json"
+    assert run(["hardy"] + flags + ["--report", str(rep)]) == 2
+    doc = json.loads(rep.read_text())
+    assert [r["identity"] for r in doc["reports"]] == ["hardy-constants", "hardy-chain"]
+    assert doc["error_fields"] == {"what": "interval integral", **fields}
+    assert capsys.readouterr().err.startswith("error: interval integral did not settle")
+
+
 def test_config_null_means_unset(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"m1": None}))
