@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegeneracyLine, DomainError, OutOfRange
 from .geometry import DomainSpec, EllipticArc, ParametricArc, Point, Variant, Vec2
 from .params import Coefficients, OperatorParams, _ipow, coefficients
-from .quad import _blockwise
 
 __all__ = [
     "Jet2",
@@ -125,7 +124,7 @@ class ScalarField:
     """Base expression node.  Subclasses are frozen dataclasses, so trees
     compare and hash structurally (used for grid caching)."""
 
-    def jet(self, x, y, known=None, second=True) -> Jet2:
+    def jet(self, x, y, second=True) -> Jet2:
         """Jet at the points (x, y): u, ux and uy, and with second set also
         uxx and uyy (else they are None), each a new float64 array of the
         points' shape held by the jet alone.  Each part takes the same
@@ -143,51 +142,25 @@ class ScalarField:
         refuse such a base), and every derivative part reaches the output
         through a product with a computed value.
 
-        known(node), when given, returns the jet of a subtree already
-        evaluated on these same points, or None; a returned jet is used
-        instead of evaluating that subtree again, so the result is
-        bit-identical to a cold evaluation.  A known first-order jet in a
-        second-order call raises ValueError.
+        The tree is walked once over all the points; a caller that wants
+        small temporaries passes a block of them (quad._streamed_sums)."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        # views, so that a part that is the points themselves is copied
+        # below even where broadcast_arrays passed a caller's array through
+        j = self._jet(x[...], y[...], second)
+        out = []   # scalars, views and repeats are copied
+        for f, p in zip(fields(Jet2), _parts(j, second)):
+            if not np.all(np.isfinite(p)):
+                raise DomainError(f"non-finite field: its {f.name} is inf or nan")
+            if not (isinstance(p, np.ndarray) and p.flags.owndata) \
+                    or any(p is q for q in out):
+                p = np.array(np.broadcast_to(p, x.shape))
+            out.append(p)
+        return Jet2(*out)
 
-        Points beyond one block are evaluated block by block (see
-        quad._blockwise): the tree is walked once per block and each known
-        jet is looked up once per call and sliced for every block."""
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                     np.asarray(y, dtype=float))
-        looked = {}  # id(node) -> (node, known jet or None); node pins the id
-
-        def block(sl):
-            xs, ys = xb[sl], yb[sl]
-
-            def sub(node):
-                entry = looked.get(id(node))
-                if entry is None:
-                    j = None if known is None else known(node)
-                    if j is not None and second and (j.uxx is None or j.uyy is None):
-                        raise ValueError(f"the known jet of {to_prefix(node)} "
-                                         "lacks its second-order parts")
-                    entry = looked[id(node)] = (node, j)
-                j = entry[1]
-                if j is None:
-                    return node._jet(xs, ys, sub, second)
-                return Jet2(*(a[sl] for a in _parts(j, second)))   # views, never owned
-
-            j, sub = sub(self), None  # sub's closure cycle would pin arrays until gc
-            out = []   # scalars, views (points, known jets) and repeats are copied
-            for f, p in zip(fields(Jet2), _parts(j, second)):
-                if not np.all(np.isfinite(p)):
-                    raise DomainError(f"non-finite field: its {f.name} is inf or nan")
-                if not (isinstance(p, np.ndarray) and p.flags.owndata) \
-                        or any(p is q for q in out):
-                    p = np.array(np.broadcast_to(p, xs.shape))
-                out.append(p)
-            return tuple(out)
-
-        return Jet2(*_blockwise(xb, block))
-
-    def _jet(self, x, y, sub, second) -> Jet2:
-        # sub(child) is the jet of a child node on the same points; second
-        # says whether to compute uxx and uyy
+    def _jet(self, x, y, second) -> Jet2:
+        # the jet on the points, from the children's _jet on the same
+        # points; second says whether to compute uxx and uyy
         raise NotImplementedError
 
     def __call__(self, x, y):
@@ -244,7 +217,7 @@ class Const(ScalarField):
         if not math.isfinite(self.v):
             raise ValueError("constant must be finite")
 
-    def _jet(self, x, y, sub, second):
+    def _jet(self, x, y, second):
         return Jet2(np.float64(self.v), _ZERO, _ZERO, _ZERO, _ZERO)
 
 
@@ -256,7 +229,7 @@ class Coord(ScalarField):
         if self.name not in ("x", "y"):
             raise ValueError("coordinate must be 'x' or 'y'")
 
-    def _jet(self, x, y, sub, second):
+    def _jet(self, x, y, second):
         if self.name == "x":
             return Jet2(x, _ONE, _ZERO, _ZERO, _ZERO)
         return Jet2(y, _ZERO, _ONE, _ZERO, _ZERO)
@@ -271,8 +244,8 @@ class Add(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub, second):
-        ja, jb = (_parts(sub(v), second) for v in (self.a, self.b))
+    def _jet(self, x, y, second):
+        ja, jb = (_parts(v._jet(x, y, second), second) for v in (self.a, self.b))
         return Jet2(ja[0] + jb[0], *map(_add, ja[1:], jb[1:]))
 
 
@@ -281,8 +254,8 @@ class Sub(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub, second):
-        ja, jb = (_parts(sub(v), second) for v in (self.a, self.b))
+    def _jet(self, x, y, second):
+        ja, jb = (_parts(v._jet(x, y, second), second) for v in (self.a, self.b))
         return Jet2(ja[0] - jb[0], *map(_sub, ja[1:], jb[1:]))
 
 
@@ -291,8 +264,8 @@ class Mul(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub, second):
-        ja, jb = sub(self.a), sub(self.b)
+    def _jet(self, x, y, second):
+        ja, jb = self.a._jet(x, y, second), self.b._jet(x, y, second)
         j = Jet2(ja.u * jb.u, _add(_mul(ja.ux, jb.u), _mul(ja.u, jb.ux)),
                  _add(_mul(ja.uy, jb.u), _mul(ja.u, jb.uy)))
         if second:
@@ -308,8 +281,8 @@ class Div(ScalarField):
     a: ScalarField
     b: ScalarField
 
-    def _jet(self, x, y, sub, second):
-        ja, jb = sub(self.a), sub(self.b)
+    def _jet(self, x, y, second):
+        ja, jb = self.a._jet(x, y, second), self.b._jet(x, y, second)
         _reciprocal_base(jb.u, "division by zero in field evaluation")
         w = ja.u / jb.u
 
@@ -329,8 +302,8 @@ class Div(ScalarField):
 class Neg(ScalarField):
     a: ScalarField
 
-    def _jet(self, x, y, sub, second):
-        u, *d = _parts(sub(self.a), second)
+    def _jet(self, x, y, second):
+        u, *d = _parts(self.a._jet(x, y, second), second)
         return Jet2(-u, *(_sub(_ZERO, p) for p in d))
 
 
@@ -343,8 +316,8 @@ class IPow(ScalarField):
         if isinstance(self.n, bool) or not isinstance(self.n, int):
             raise TypeError("exponent must be an integer")
 
-    def _jet(self, x, y, sub, second):
-        j = sub(self.a)
+    def _jet(self, x, y, second):
+        j = self.a._jet(x, y, second)
         n = self.n
         if n == 0:
             return Jet2(np.float64(1.0), _ZERO, _ZERO, _ZERO, _ZERO)
@@ -386,8 +359,8 @@ class OddRootPow(ScalarField):
         if math.gcd(abs(self.p), self.q) != 1:
             raise ValueError("p/q must be in lowest terms (use root_power)")
 
-    def _jet(self, x, y, sub, second):
-        j = sub(self.a)
+    def _jet(self, x, y, second):
+        j = self.a._jet(x, y, second)
         s = _array_base(j.u, x)
         if self.p - 2 * self.q < 0:
             _reciprocal_base(s, f"jet of odd-root power {self.p}/{self.q} is "
@@ -427,8 +400,8 @@ class AbsPow(ScalarField):
         if not (math.isfinite(self.gamma) and self.gamma > 2.0):
             raise ValueError("gamma must be finite and > 2")
 
-    def _jet(self, x, y, sub, second):
-        j = sub(self.a)
+    def _jet(self, x, y, second):
+        j = self.a._jet(x, y, second)
         s = _array_base(j.u, x)
         a2 = np.abs(s) ** (self.gamma - 2.0)
         g = a2 * s * s

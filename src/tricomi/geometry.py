@@ -617,21 +617,28 @@ class StarlikeReport:
 
 def check_starshaped(domain: DomainSpec, n_samples: int = 256) -> StarlikeReport:
     """Sample c1*x*dy - c2*y*dx along the positively oriented boundary and
-    flow boundary points forward, checking containment."""
+    flow boundary points forward, checking containment.  The form scales
+    with the domain under the dilation, so its least sample is measured
+    against its largest |sample|; a form that is 0 at every sample (a
+    domain too small for float64) raises DomainError."""
     if n_samples < 8:
         raise ValueError("need n_samples >= 8")
     co = coefficients(domain.params)
-    worst = math.inf
+    worst, scale = math.inf, 0.0
     worst_pt = domain.apex
     charts = boundary_charts(domain)
     for chart in charts:
         tau = chart.lo + (chart.hi - chart.lo) * (np.arange(n_samples) + 0.5) / n_samples
         x, y, dx, dy = chart.fn(tau)
         form = co.c1 * np.asarray(x) * np.asarray(dy) - co.c2 * np.asarray(y) * np.asarray(dx)
+        scale = max(scale, float(np.max(np.abs(form))))
         i = int(np.argmin(form))
         if form[i] < worst:
             worst = float(form[i])
             worst_pt = Point(float(np.asarray(x).ravel()[i]), float(np.asarray(y).ravel()[i]))
+    if scale == 0.0:
+        raise DomainError("the star-shape form is 0 at every boundary sample: "
+                          "the domain is too small to test")
     m = max(8, n_samples // 8)
 
     def flowed_points():
@@ -642,7 +649,7 @@ def check_starshaped(domain: DomainSpec, n_samples: int = 256) -> StarlikeReport
                     yield flow(Point(float(xi), float(yi)), t, co)
 
     contained = all(contains(domain, q, tol=1e-7) for q in flowed_points())
-    ok = worst >= -1e-9 and contained
+    ok = worst >= -1e-9 * scale and contained
     return StarlikeReport(min_form=worst, is_starlike=ok,
                           worst_point=worst_pt, flow_contained=contained)
 

@@ -204,9 +204,8 @@ def _area_parts(g, u, params) -> _AreaParts:
 
 
 def _curve_jet(g, u, params) -> tuple:
-    # the boundary forms' first-order jet, reusing the kept jet of every
-    # subtree on the level, and the operator weights
-    return (_kept(g, u, lambda: u.jet(g.x, g.y, known=g.memo.get, second=False)),
+    # the boundary forms' first-order jet and the operator weights
+    return (_kept(g, u, lambda: u.jet(g.x, g.y, second=False)),
             _kept(g, params, lambda: operator_weights(params, g.x, g.y)))
 
 

@@ -218,40 +218,24 @@ def curve_grids(domain, curve_id: BoundaryCurveId | None,
 _BLOCK = 1 << 14
 
 
-def _blockwise(x: np.ndarray, kernel) -> tuple:
-    """kernel(sl) returns a tuple of arrays on the points x[sl].  Over a 1-D
-    x longer than _BLOCK it runs once per block of _BLOCK points and each
-    result is written into its own preallocated output of x's length; any
-    other x is one kernel(...) call on all of x.  Elementwise results
-    do not depend on the block, so the outputs are bit-identical to one
-    whole-array call; reductions belong to the caller, over whole outputs."""
-    if x.ndim != 1 or x.size <= _BLOCK:
-        return kernel(...)
+def _streamed_sums(level: GridLevel, kernel, keep: int = 0) -> tuple:
+    """Level sums of densities, streamed: kernel(sl) returns a tuple of
+    arrays on the points level.x[sl], level.y[sl], for one block sl of
+    _BLOCK points at a time.  Each result is written into its own output of
+    the level's length.  The first keep come back as those whole-level
+    arrays; each other one is a density (a scalar broadcasts) times the
+    level's weights, reduced by one np.sum over its output, bit for bit
+    _level_sum([d], level.weights) of the whole-level d.  Adding per-block
+    sums would round otherwise."""
+    (w,) = level.weights
     outs = None
-    for start in range(0, x.size, _BLOCK):
+    for start in range(0, level.x.size, _BLOCK):
         sl = slice(start, start + _BLOCK)
         parts = kernel(sl)
         if outs is None:
-            outs = tuple(np.empty(x.size) for _ in parts)
-        for out, part in zip(outs, parts):
-            out[sl] = part
-    return outs
-
-
-def _streamed_sums(level: GridLevel, kernel, keep: int = 0) -> tuple:
-    """Level sums of densities, streamed: kernel(sl) returns a tuple of
-    arrays on the points level.x[sl], level.y[sl].  The first keep come back
-    as whole-level arrays; each other one is a density (a scalar broadcasts)
-    times the level's weights, written block by block into its own output
-    that one np.sum reduces, bit for bit _level_sum([d], level.weights) of
-    the whole-level d.  Adding per-block sums would round otherwise."""
-    (w,) = level.weights
-
-    def weighted(sl):
-        parts = kernel(sl)
-        return (*parts[:keep], *(np.asarray(d, float) * w[sl] for d in parts[keep:]))
-
-    outs = _blockwise(level.x, weighted)
+            outs = [np.empty(level.x.size) for _ in parts]
+        for k, (out, part) in enumerate(zip(outs, parts)):
+            out[sl] = part if k < keep else np.asarray(part, float) * w[sl]
     return (*outs[:keep], *(float(np.sum(out)) for out in outs[keep:]))
 
 

@@ -1,10 +1,10 @@
-"""Blocked evaluation: jets, area parts and area sums over a grid level are
-computed in blocks of quad._BLOCK points, and the Hardy sweeps' random phi
-in blocks of identities._PHI_BLOCK rows.  Each must equal one whole-array
-or one-phi evaluation bit for bit, raise the same errors, and keep its
-temporaries small."""
+"""Blocked evaluation: quad._streamed_sums evaluates area parts, area
+densities and box sums over a grid level in blocks of quad._BLOCK points,
+and the Hardy sweeps draw and evaluate their random phi in blocks of
+identities._PHI_BLOCK rows.  Each must equal one whole-array or one-phi
+evaluation bit for bit, raise the same errors, and keep its temporaries
+small.  A jet itself is one tree walk over the points it is given."""
 import gc
-import itertools
 import tracemalloc
 import weakref
 
@@ -15,6 +15,7 @@ from tricomi import identities, quad
 from tricomi.errors import DomainError
 from tricomi.field import (X, Y, Const, Div, D_from_jet, O_from_jet, energy_from_jet,
                            manufactured, norm_from_jet, operator_weights)
+from tricomi.geometry import omega1
 from tricomi.identities import reference_domains
 from tricomi.params import (OperatorParams, coefficients, cubic_nonlinearity,
                             power_nonlinearity)
@@ -24,77 +25,11 @@ from tricomi.quad import QuadConfig
 # (omega4's coarse level 1.27 blocks), neither a whole number of them
 CFG = QuadConfig(panels_per_axis=18)
 
-FIRST_ORDER = ("u", "ux", "uy")
-# the parts of a jet of each order: second (area levels) and first (curve
-# and box levels)
-PARTS = {True: FIRST_ORDER + ("uxx", "uyy"), False: FIRST_ORDER}
-
-
-def _identical(a, b) -> bool:
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def _same_jet(j1, j2, parts=PARTS[True]) -> bool:
-    return all(_identical(getattr(j1, c), getattr(j2, c)) for c in parts)
-
-
-def _one_block(monkeypatch, fn):
-    # the same evaluation with a block larger than any grid: one tree walk
-    with monkeypatch.context() as m:
-        m.setattr(quad, "_BLOCK", 1 << 40)
-        return fn()
-
-
-@pytest.mark.parametrize("dom", reference_domains(), ids=lambda d: d.variant.value)
-def test_blocked_jets_equal_the_single_block_walk(monkeypatch, dom):
-    # a jet of either order equals those parts of the second-order jet
-    # walked as one block, blocked or not, with a known subtree or cold
-    base = manufactured(dom)
-    field = base * (Const(1.0) + X / 2 - Y / 3)
-    for g, second in itertools.product(quad.domain_grids(dom, CFG), PARTS):
-        assert g.x.size > quad._BLOCK and g.x.size % quad._BLOCK
-        known = {base: base.jet(g.x, g.y, second=second)}.get   # the subtree-reuse path
-        for u, kn in ((base, None), (field, None), (field, known)):
-            full = _one_block(monkeypatch, lambda: u.jet(g.x, g.y))
-            for j in (u.jet(g.x, g.y, known=kn, second=second), _one_block(
-                    monkeypatch, lambda: u.jet(g.x, g.y, known=kn, second=second))):
-                assert _same_jet(j, full, PARTS[second]), second
-                assert second or (j.uxx, j.uyy) == (None, None)
-
-
-def test_known_subtrees_are_looked_up_once_per_call():
-    x = np.linspace(-1.0, 1.0, 3 * quad._BLOCK + 7)
-    base = X * X - Y
-    field = base * (Const(1.0) + X / 2)
-    jb = base.jet(x, 0.5 * x)
-    asked = []
-
-    def known(node):
-        asked.append(node)
-        return jb if node == base else None
-
-    field.jet(x, 0.5 * x, known=known)
-    assert asked.count(base) == 1
-    assert len(asked) == len({id(n) for n in asked})
-
-
 def test_a_part_that_was_not_computed_cannot_be_read():
     x = np.linspace(0.1, 1.0, 50)
     j = (X * X * Y).jet(x, x, second=False)
     with pytest.raises(TypeError):
         O_from_jet(j, operator_weights(OperatorParams(1, 4), x, x))
-
-
-@pytest.mark.parametrize("n", [100, 3 * quad._BLOCK + 5], ids=["one-block", "blocks"])
-def test_a_known_jet_lacking_an_asked_part_raises(n):
-    x = np.linspace(-1.0, 1.0, n)
-    base = X * X - Y
-    known = {base: base.jet(x, x, second=False)}.get
-    with pytest.raises(ValueError, match="lacks its second-order parts"):
-        (base * X).jet(x, x, known=known)
-    # asked for first order, the kept jet is used as it is
-    assert _same_jet((base * X).jet(x, x, known=known, second=False),
-                     (base * X).jet(x, x), FIRST_ORDER)
 
 
 def test_division_by_zero_in_the_last_block_raises():
@@ -107,15 +42,15 @@ def test_division_by_zero_in_the_last_block_raises():
 
 @pytest.mark.parametrize("n", [100, 3 * quad._BLOCK + 5], ids=["one-block", "blocks"])
 def test_a_jet_frees_its_points_without_the_garbage_collector(n):
-    # a reference cycle in the tree walk would keep the points, and every
-    # jet it looked up, alive until the next collection, so the peak memory
-    # of a run would follow the collector's timing
+    # a reference cycle in the tree walk would keep the points alive until
+    # the next collection, so the peak memory of a run would follow the
+    # collector's timing
     u = (X * Y + Const(1.0)) * (Const(2.0) - X)
     x = np.arange(n) / n   # owns its data, so views of it pin it
     points = weakref.ref(x)
     gc.disable()
     try:
-        u.jet(x, x[::-1].copy(), known=lambda node: None)
+        u.jet(x, x[::-1].copy())
         del x
         assert points() is None
     finally:
@@ -257,20 +192,25 @@ def test_box_sums_equal_the_whole_level_form(cfg):
         assert _same_bits(got, want)
 
 
-def test_fine_level_jet_peak_memory_stays_near_its_output():
-    dom = reference_domains()[0]
+def test_a_cold_area_pass_peaks_near_its_kept_parts():
+    # the path every command takes: the parts an area level keeps are
+    # written block by block, so past them a pass holds one level-sized
+    # output and one block's temporaries (a whole-level second-order jet
+    # of this field would peak at about 71 MB)
+    dom = omega1(1, 4, -0.5)
+    cfg = QuadConfig()
     u = manufactured(dom)
-    fine, _ = quad.domain_grids(dom, QuadConfig())
-    for second in PARTS:
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            j = u.jet(fine.x, fine.y, second=second)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        out = sum(getattr(j, k).nbytes for k in PARTS[second])
-        assert peak <= 1.5 * out, (second, peak, out)
+    quad.domain_grids.cache_clear()
+    fine, _ = quad.domain_grids(dom, cfg)   # built before the measurement
+    tracemalloc.start()
+    try:
+        levels = identities._area_jets(u, dom, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for _, p in levels for a in (p.u, p.Du, p.Ou))
+    assert kept == 3 * 8 * sum(g.x.size for g, _ in levels)
+    assert peak <= kept + fine.x.nbytes + 2 * 2 ** 20, (peak, kept)
 
 
 # ---------------------------------------------------------------------------

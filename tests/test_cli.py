@@ -631,6 +631,16 @@ def test_error_report_keeps_finished_records(tmp_path, argv, kept):
     assert [(r["identity"], r["sides"].get("lam")) for r in doc["reports"]] == kept
 
 
+def test_a_domain_too_small_for_the_star_shape_check_is_an_error(capsys):
+    # its star-shape form underflows to 0 at every sample, which proves nothing
+    assert run(["domain", "--variant", "omega1", "--m1", "1", "--m2", "4",
+                "--x0=-1e-300"]) == 2
+    out, err = capsys.readouterr()
+    assert "starlike" not in out
+    assert err == ("error: the star-shape form is 0 at every boundary sample: "
+                   "the domain is too small to test\n")
+
+
 def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
     def step1(*args):
         raise MemoryError("Unable to allocate 7.45 PiB for an array")

@@ -253,6 +253,21 @@ def test_dented_sigma_flagged():
     assert bad.arc is not base.arc
 
 
+@pytest.mark.parametrize("x0", [-1e-4, -1e-5])
+def test_a_dent_is_flagged_at_every_scale(x0):
+    # the form scales as lam**kappa under the dilation, so the gate is
+    # relative to its largest sample: an absolute -1e-9 passed x0 = -1e-5,
+    # whose least sample is -1.4e-10
+    base = omega1(1, 4, x0)
+    rep = check_starshaped(omega1(1, 4, x0, arc=_dented_arc(base)))
+    assert not rep.is_starlike and rep.min_form < 0.0
+
+
+def test_a_domain_whose_form_underflows_raises():
+    with pytest.raises(DomainError, match="0 at every boundary sample"):
+        check_starshaped(omega1(1, 4, -1e-300))
+
+
 def test_folded_arc_rejected_at_construction():
     # this arc hits both corners, but its fan Jacobian (p - m) x p' from
     # the chord midpoint m ranges over about [-0.129, 0.305]: the cap map

@@ -197,18 +197,21 @@ def test_sigma_sign_preconditions():
     dom = omega1(1, 4, -0.5)
     with pytest.raises(PreconditionViolated):
         sigma_boundary_sign(X, dom)   # X does not vanish on the arc
-    # a dented arc breaks star-shapedness and must be refused
-    c, (a, b) = dom.arc.center, dom.arc.semi_axes
+    # a dented arc breaks star-shapedness and must be refused, also at
+    # x0 = -1e-5, where the star-shape form is of order 1e-10
+    for x0 in (-0.5, -1e-5):
+        dom = omega1(1, 4, x0)
+        c, (a, b) = dom.arc.center, dom.arc.semi_axes
 
-    def fn(theta):
-        th = np.asarray(theta, float)
-        rho = 1.0 - 0.75 * np.sin(th) ** 6
-        return (c.x + a * np.cos(th) * rho, c.y + b * np.sin(th) * rho)
+        def fn(theta, c=c, a=a, b=b):
+            th = np.asarray(theta, float)
+            rho = 1.0 - 0.75 * np.sin(th) ** 6
+            return (c.x + a * np.cos(th) * rho, c.y + b * np.sin(th) * rho)
 
-    dented = omega1(1, 4, -0.5, arc=ParametricArc(fn, 0.0, math.pi))
-    with pytest.raises(PreconditionViolated) as ei:
-        sigma_boundary_sign(Const(0.0), dented)
-    assert "star-shaped" in str(ei.value)
+        dented = omega1(1, 4, x0, arc=ParametricArc(fn, 0.0, math.pi))
+        with pytest.raises(PreconditionViolated) as ei:
+            sigma_boundary_sign(Const(0.0), dented)
+        assert "star-shaped" in str(ei.value)
 
 
 # ---------------------------------------------------------------------------
@@ -389,51 +392,6 @@ def test_identities_honor_quad_config():
 SMALL = QuadConfig(panels_per_axis=8)
 
 
-def _same_jet(a, b, parts=("u", "ux", "uy")):
-    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in parts)
-
-
-def test_subtree_reuse_matches_a_cold_evaluation(monkeypatch):
-    # boundary-piece levels keep jets, and a new jet reuses the kept jet of
-    # every subtree on its level; area levels keep parts, not jets
-    memos, found = [], []
-    jet = ScalarField.jet
-
-    def spy(self, x, y, known=None, second=True):
-        if known is None:
-            return jet(self, x, y, second=second)
-        memo = known.__self__          # known is a level memo's get
-
-        def look(node):
-            j = memo.get(node)
-            if j is not None:
-                found.append(node)
-            return j
-
-        memos.append(memo)
-        return jet(self, x, y, look, second)
-
-    monkeypatch.setattr(ScalarField, "jet", spy)
-    for dom in reference_domains():
-        base = manufactured(dom)
-        second = base * (Const(1.0) + X / 2 - Y / 3)
-        quad.curve_grids.cache_clear()     # cold levels, nothing kept yet
-        identities._curve_jets(base, dom, BoundaryCurveId.BC, SMALL)
-        memos.clear()
-        found.clear()
-        levels = identities._curve_jets(second, dom, BoundaryCurveId.BC, SMALL)
-        assert base in found       # the base field's kept jet was reused
-        assert memos == [g.memo for g, _ in levels]
-        for g, (j, _) in levels:
-            # a boundary-piece level holds the first-order jet
-            assert _same_jet(j, second.jet(g.x, g.y, second=False))
-            assert (j.uxx, j.uyy) == (None, None)
-        quad.domain_grids.cache_clear()
-        memos.clear()
-        identities._area_jets(second, dom, SMALL)
-        assert memos == []         # area passes walk the tree cold, per block
-
-
 def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
     identities._boundary_maxima.cache_clear()
     dom = omega1(1, 4, -0.5)
@@ -441,10 +399,10 @@ def test_boundary_samples_are_taken_once_per_field_and_domain(monkeypatch):
     sampled = []
     jet = ScalarField.jet
 
-    def spy(self, x, y, known=None, second=True):
+    def spy(self, x, y, second=True):
         if np.size(x) == 100:          # the precondition's samples per piece
             sampled.append(self)
-        return jet(self, x, y, known, second)
+        return jet(self, x, y, second)
 
     monkeypatch.setattr(ScalarField, "jet", spy)
     step1_residual(u, dom, SMALL)
