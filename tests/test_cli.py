@@ -641,6 +641,16 @@ def test_a_domain_too_small_for_the_star_shape_check_is_an_error(capsys):
                    "the domain is too small to test\n")
 
 
+def test_a_domain_whose_star_shape_form_is_nan_is_an_error(capsys):
+    # the apex y underflows to -0.0, so every AC sample is NaN and every BC
+    # sample 0; dropping the NaN samples read the domain as starlike
+    assert run(["domain", "--variant", "omega1", "--m1", "1", "--m2", "4",
+                "--x0=-1e-110"]) == 2
+    out, err = capsys.readouterr()
+    assert "starlike" not in out
+    assert err == "error: the star-shape form is not finite on AC\n"
+
+
 def test_out_of_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
     def step1(*args):
         raise MemoryError("Unable to allocate 7.45 PiB for an array")

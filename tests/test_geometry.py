@@ -225,12 +225,31 @@ def test_check_starshaped_fixtures():
         rep = check_starshaped(dom)
         assert rep.is_starlike
         assert rep.min_form >= -1e-9
-        assert rep.flow_contained
 
 
-def test_check_starshaped_rejects_tiny_sample():
-    with pytest.raises(ValueError):
-        check_starshaped(omega1(1, 4, -0.5), n_samples=4)
+def _verdict(mk, m1, m2, anchor):
+    try:
+        dom = mk(m1, m2, anchor)
+    except ParityViolation:
+        return None
+    return check_starshaped(dom).is_starlike
+
+
+def test_the_star_shape_verdict_does_not_depend_on_the_anchor():
+    # the characteristic triangles at different anchors are dilations of
+    # one another, and each sample's bound scales with the sample
+    seen = 0
+    for mk in (omega1, omega2, omega3, omega4):
+        sign = 1 if mk is omega2 else -1
+        for m1, m2 in ((1, 4), (3, 12), (7, 6), (1, 0), (1, 2)):
+            ref = _verdict(mk, m1, m2, sign * 0.5)
+            if ref is None:
+                continue
+            seen += 1
+            for e in range(-12, 25, 3):
+                assert _verdict(mk, m1, m2, sign * 10.0 ** e) == ref, \
+                    (mk.__name__, m1, m2, e)
+    assert seen == 18
 
 
 def _dented_arc(dom):
@@ -253,19 +272,30 @@ def test_dented_sigma_flagged():
     assert bad.arc is not base.arc
 
 
-@pytest.mark.parametrize("x0", [-1e-4, -1e-5])
-def test_a_dent_is_flagged_at_every_scale(x0):
-    # the form scales as lam**kappa under the dilation, so the gate is
-    # relative to its largest sample: an absolute -1e-9 passed x0 = -1e-5,
-    # whose least sample is -1.4e-10
-    base = omega1(1, 4, x0)
-    rep = check_starshaped(omega1(1, 4, x0, arc=_dented_arc(base)))
+@pytest.mark.parametrize("m1, m2, x0", [
+    pytest.param(1, 4, -1e-4, id="-0.0001"),
+    pytest.param(1, 4, -1e-5, id="-1e-05"),
+    pytest.param(3, 12, -1e4, id="3-12--1e4"),
+    pytest.param(3, 12, -1e6, id="3-12--1e6")])
+def test_a_dent_is_flagged_at_every_scale(m1, m2, x0):
+    # the form scales as lam**kappa under the dilation, and each sample is
+    # judged against its own terms; the least sample at x0 = -1e-5 is -1.4e-10
+    base = omega1(m1, m2, x0)
+    rep = check_starshaped(omega1(m1, m2, x0, arc=_dented_arc(base)))
     assert not rep.is_starlike and rep.min_form < 0.0
 
 
 def test_a_domain_whose_form_underflows_raises():
     with pytest.raises(DomainError, match="0 at every boundary sample"):
         check_starshaped(omega1(1, 4, -1e-300))
+
+
+@pytest.mark.parametrize("mk, m1, m2, anchor, piece", [
+    pytest.param(omega1, 1, 4, -1e-110, "AC", id="omega1-tiny"),  # apex y is -0.0
+    pytest.param(omega3, 1, 2, -1e200, "sigma", id="omega3-huge")])
+def test_a_non_finite_star_shape_sample_raises(mk, m1, m2, anchor, piece):
+    with pytest.raises(DomainError, match=f"not finite on {piece}"):
+        check_starshaped(mk(m1, m2, anchor))
 
 
 def test_folded_arc_rejected_at_construction():
@@ -307,6 +337,13 @@ def test_containment_probes():
     d4 = omega4(1, 0, -0.5)
     assert contains(d4, Point(0.1, -0.5))
     assert not contains(d4, Point(-0.1, -0.5))  # sigma is the segment x = 0
+
+
+def test_contains_refuses_a_parametric_arc():
+    base = omega1(1, 4, -0.5)
+    dented = omega1(1, 4, -0.5, arc=_dented_arc(base))
+    with pytest.raises(DomainError, match="parametric arc"):
+        contains(dented, Point(-0.5, -0.1))
 
 
 def test_parity_rejected_at_construction():
