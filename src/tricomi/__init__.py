@@ -15,9 +15,8 @@ from .params import (Coefficients, NonlinearitySpec, OperatorParams,
 from .geometry import (AreaChart, BoundaryCurveId, CurveChart, DomainSpec,
                        EllipticArc, ParametricArc, Point, StarlikeReport,
                        Variant, Vec2, area_charts, boundary_charts,
-                       apex, boundary_csv, boundary_svg, char_ode_residual,
-                       char_ode_residual_at, check_starshaped, contains,
-                       curve_point, default_arc, endpoints, flow,
+                       apex, boundary_csv, boundary_svg, check_starshaped,
+                       contains, curve_point, default_arc, endpoints, flow,
                        natural_range, omega1, omega2, omega3, omega4,
                        outward_normal, starlike_form)
 from .field import (Const, Coord, Jet2, SampleFn1D, ScalarField, X, Y,

@@ -65,7 +65,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ck.add_argument("--gauss-order", type=int, default=q.gauss_order,
                     help="Gauss points per panel")
     ck.add_argument("--panels", type=int, default=q.panels_per_axis,
-                    help="fine-level panels per axis")
+                    help="fine-level panels per axis; unset, area checks climb "
+                         "a panel ladder up to 32")
     ck.add_argument("--abs-tol", type=float, default=q.abs_tol,
                     help="two-level absolute tolerance")
     ck.add_argument("--rel-tol", type=float, default=q.rel_tol,

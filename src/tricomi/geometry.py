@@ -50,8 +50,6 @@ __all__ = [
     "flow",
     "starlike_form",
     "check_starshaped",
-    "char_ode_residual",
-    "char_ode_residual_at",
     "contains",
     "boundary_charts",
     "area_charts",
@@ -142,15 +140,26 @@ def _apex_closed_form(variant: Variant, params: OperatorParams, anchor: float) -
     co = coefficients(params)
     c1, c2 = co.c1, co.c2
     k = (params.m2 + 2) // 2
+
+    def finite(name, value):
+        # a float power past the range raises OverflowError, a product is inf
+        try:
+            v = value()
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise DomainError(f"{variant.value} anchor {anchor!r}: apex {name} "
+                              "leaves the float range")
+        return v
+
     if variant in (Variant.OMEGA1, Variant.OMEGA2):
         x0 = anchor
-        xc = 0.5 ** (2.0 / c2) * (2.0 * x0)
-        yc = -((0.5 * c1 / c2) * abs(2.0 * x0) ** k) ** (2.0 / c1)
+        xc = finite("x", lambda: 0.5 ** (2.0 / c2) * (2.0 * x0))
+        yc = finite("y", lambda: -((0.5 * c1 / c2) * abs(2.0 * x0) ** k) ** (2.0 / c1))
         return Point(xc, yc)
     y0 = anchor
-    bigk = (-2.0 * y0) ** (c1 / 2.0)
-    xc = ((0.5 * c2 / c1) * bigk) ** (2.0 / c2)
-    yc = 0.5 ** (2.0 / c1) * (2.0 * y0)
+    xc = finite("x", lambda: ((0.5 * c2 / c1) * (-2.0 * y0) ** (c1 / 2.0)) ** (2.0 / c2))
+    yc = finite("y", lambda: 0.5 ** (2.0 / c1) * (2.0 * y0))
     return Point(xc, yc)
 
 
@@ -451,31 +460,6 @@ def outward_normal(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> Vec2
     if nrm == 0.0 or not math.isfinite(nrm):
         raise CornerPoint(f"degenerate tangent at parameter {s} of {curve.value}")
     return Vec2(nx / nrm, ny / nrm)
-
-
-def char_ode_residual_at(params: OperatorParams, variant: Variant,
-                         x: float, y: float, slope: float) -> float:
-    """Characteristic ODE residual at a point.  slope is dy/dx for
-    omega1/omega2 (checks -y^m1 (y')^2 = x^m2) and dx/dy for omega3/omega4
-    (checks -y^m1 = x^m2 (x')^2)."""
-    # the slope term is squared as a whole: near the parabolic endpoints
-    # the power underflows while the slope overflows
-    m1, m2 = params.m1, params.m2
-    if variant in (Variant.OMEGA1, Variant.OMEGA2):
-        t = abs(y) ** (m1 / 2) * slope
-        return -math.copysign(1.0, y) ** m1 * t * t - x ** m2
-    t = abs(x) ** (m2 / 2) * slope
-    return -(y ** m1) - math.copysign(1.0, x) ** m2 * t * t
-
-
-def char_ode_residual(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> float:
-    if curve is BoundaryCurveId.SIGMA:
-        raise DomainError("the ODE residual is defined on characteristics only")
-    s = _in_range(domain, curve, s, slack=1e-13, corner="ODE residual")
-    x, y, dx, dy = (float(v) for v in _natural(domain, curve).fn(s))
-    # dy/dx where the natural parameter is y, dx/dy where it is x
-    slope = dy / dx if domain.variant in (Variant.OMEGA1, Variant.OMEGA2) else dx / dy
-    return char_ode_residual_at(domain.params, domain.variant, x, y, slope)
 
 
 # ---------------------------------------------------------------------------

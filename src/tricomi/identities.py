@@ -216,21 +216,26 @@ _curve_jets = _LevelMemo(lambda domain, curve_id, cfg:
                          quad.curve_grids(domain, curve_id, cfg), _curve_jet)
 
 
-def _area_terms(u, domain, cfg, densities, nonlin=None) -> list:
+def _area_terms(u, domain, cfg, densities, nonlin=None, energy=False) -> tuple:
     """(fine, coarse) sums of densities(p, sl), the density blocks on the
-    block sl from the level's kept parts p, in one pass per area level.
-    Given nonlin, the sums of F(u) come first, kept per (u, nonlin) on the
-    level.  The caller checks each pair."""
-    levels = []
-    for g, p in _area_jets(u, domain, cfg):
-        key = (u, nonlin)
-        if nonlin is None or key in g.memo:
-            sums = quad._streamed_sums(g, lambda sl: densities(p, sl))
-        else:
-            g.memo[key], *sums = quad._streamed_sums(g, lambda sl: (
-                np.asarray(nonlin.F(p.u[sl]), float), *densities(p, sl)))
-        levels.append(sums if nonlin is None else (g.memo[key], *sums))
-    return list(zip(*levels))
+    block sl from the level's kept parts p, in one pass per area level, at
+    the rung where they settled (quad.climb), and that rung.  Given nonlin,
+    the sums of F(u) come first, kept per (u, nonlin) on the level; given
+    energy, the kept sum of E comes last.  The caller checks each pair."""
+    key = (u, nonlin)
+
+    def level_sums(rung):
+        for g, p in _area_jets(u, domain, rung):
+            if nonlin is None or key in g.memo:
+                sums = quad._streamed_sums(g, lambda sl: densities(p, sl))
+            else:
+                g.memo[key], *sums = quad._streamed_sums(g, lambda sl: (
+                    np.asarray(nonlin.F(p.u[sl]), float), *densities(p, sl)))
+            if nonlin is not None:
+                sums = (g.memo[key], *sums)
+            yield (*sums, p.energy) if energy else tuple(sums)
+
+    return quad.climb(level_sums, cfg)
 
 
 def _area_value(sums, cfg) -> float:
@@ -363,11 +368,12 @@ def _w1_boundary(u, domain, cfg) -> float:
 # step identities
 
 def _report(identity, domain, field_str, f_str, lhs, rhs, defect, sides, cfg,
-            note="") -> IdentityReport:
+            rung, note="") -> IdentityReport:
+    # rung: the config of the pair the area terms settled at
     return _record(identity, domain, lhs, rhs,
                    _rel_err(lhs, rhs, defect) <= REPORT_PASS_RTOL,
                    field=field_str, f=f_str, defect=defect, sides=sides,
-                   quad=asdict(cfg), note=note)
+                   quad={**asdict(cfg), "area_panels": list(rung.levels)}, note=note)
 
 
 @_timed
@@ -378,13 +384,13 @@ def step1_residual(u: ScalarField, domain: DomainSpec,
     co = _gate(u, domain, cfg, "step1", [BoundaryCurveId.AC])
     c = float(co.c)
 
-    (lhs,) = _area_terms(u, domain, cfg, lambda p, sl: (p.Du[sl] * p.Ou[sl],))
-    lhs = _area_value(lhs, cfg)
-    e_int = _area_value([p.energy for _, p in _area_jets(u, domain, cfg)], cfg)
+    (lhs, e_int), rung = _area_terms(u, domain, cfg, lambda p, sl: (p.Du[sl] * p.Ou[sl],),
+                                     energy=True)
+    lhs, e_int = _area_value(lhs, rung), _area_value(e_int, rung)
     b = _w1_boundary(u, domain, cfg)
     rhs = c * e_int + 0.5 * b
     sides = {"energy_integral": e_int, "omega1_boundary": b}
-    return _report("step1", domain, to_prefix(u), "", lhs, rhs, 0.0, sides, cfg)
+    return _report("step1", domain, to_prefix(u), "", lhs, rhs, 0.0, sides, cfg, rung)
 
 
 @_timed
@@ -395,9 +401,9 @@ def step2_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
     co = _gate(u, domain, cfg, "step2", nonlin=nonlin)
     c1, c2 = co.c1, co.c2
 
-    f_int, lhs = _area_terms(u, domain, cfg, lambda p, sl: (
+    (f_int, lhs), rung = _area_terms(u, domain, cfg, lambda p, sl: (
         p.Du[sl] * np.asarray(nonlin.f(p.u[sl]), float),), nonlin)
-    lhs, f_int = _area_value(lhs, cfg), _area_value(f_int, cfg)
+    lhs, f_int = _area_value(lhs, rung), _area_value(f_int, rung)
 
     def fv_form(j, x, y, w):
         fu = np.asarray(nonlin.F(j.u), float)
@@ -407,7 +413,7 @@ def step2_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSpec,
     rhs = float(co.kappa) * f_int + bc
     sides = {"F_integral": f_int, "FV_flux_BC": bc}
     return _report("step2", domain, to_prefix(u), nonlin.name, lhs, rhs, 0.0,
-                   sides, cfg)
+                   sides, cfg, rung)
 
 
 @_timed
@@ -417,9 +423,9 @@ def step3_residual(u: ScalarField, domain: DomainSpec,
     int u O(u) = int E + int_BC u Xu . eta."""
     co = _gate(u, domain, cfg, "step3")
 
-    (lhs,) = _area_terms(u, domain, cfg, lambda p, sl: (p.u[sl] * p.Ou[sl],))
-    lhs = _area_value(lhs, cfg)
-    e_int = _area_value([p.energy for _, p in _area_jets(u, domain, cfg)], cfg)
+    (lhs, e_int), rung = _area_terms(u, domain, cfg, lambda p, sl: (p.u[sl] * p.Ou[sl],),
+                                     energy=True)
+    lhs, e_int = _area_value(lhs, rung), _area_value(e_int, rung)
 
     def uxu_form(j, x, y, w):
         xu_x, xu_y = X_from_jet(j, w)
@@ -428,7 +434,7 @@ def step3_residual(u: ScalarField, domain: DomainSpec,
     bc = _curve_functional(u, domain, BoundaryCurveId.BC, cfg, uxu_form)
     rhs = e_int + bc
     sides = {"energy_integral": e_int, "uXu_flux_BC": bc}
-    return _report("step3", domain, to_prefix(u), "", lhs, rhs, 0.0, sides, cfg)
+    return _report("step3", domain, to_prefix(u), "", lhs, rhs, 0.0, sides, cfg, rung)
 
 
 @_timed
@@ -446,8 +452,8 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
         fu = np.asarray(nonlin.f(ub), float)
         return ub * fu, (p.Du[sl] - c * ub) * (fu - p.Ou[sl])
 
-    f_int, uf_int, defect = _area_terms(u, domain, cfg, terms, nonlin)
-    f_int, uf_int = _area_value(f_int, cfg), _area_value(uf_int, cfg)
+    (f_int, uf_int, defect), rung = _area_terms(u, domain, cfg, terms, nonlin)
+    f_int, uf_int = _area_value(f_int, rung), _area_value(uf_int, rung)
     lhs = float(co.kappa) * f_int - c * uf_int
 
     b1 = _w1_boundary(u, domain, cfg)
@@ -455,13 +461,13 @@ def pohozaev_residual(u: ScalarField, nonlin: NonlinearitySpec, domain: DomainSp
                            _w2_form(co, nonlin))
     rhs = 0.5 * (b1 + b2)
 
-    defect = _area_value(defect, cfg)
+    defect = _area_value(defect, rung)
     sides = {"F_integral": f_int, "uf_integral": uf_int,
              "omega1_boundary": b1, "omega2_boundary_BC": b2}
     note = ("defect form: the identity is conditional on O u = f(u); "
             "for manufactured fields the defect term closes it exactly")
     return _report("pohozaev", domain, to_prefix(u), nonlin.name, lhs, rhs,
-                   defect, sides, cfg, note)
+                   defect, sides, cfg, rung, note)
 
 
 def sigma_boundary_sign(u: ScalarField, domain: DomainSpec,
@@ -527,18 +533,21 @@ class _Box:
 def _box_sums(u: ScalarField, lx: float, ly: float, pexp: float,
               params: OperatorParams, cfg: QuadConfig):
     """(fine, coarse) sums of |u|**pexp and of the weighted-gradient density
-    over the box [-lx, lx] x [-ly, ly], streamed: both densities of a block
-    read its one first-order jet, which goes with the block."""
+    over the box [-lx, lx] x [-ly, ly] at the rung where both settled
+    (quad.climb), and that rung.  Streamed: both densities of a block read
+    its one first-order jet, which goes with the block."""
     def densities(g, sl):
         x, y = g.x[sl], g.y[sl]
         j = u.jet(x, y, second=False)
         return np.abs(j.u) ** pexp, norm_from_jet(params, j, x, y)
 
+    def level_sums(rung):
+        for g in quad.domain_grids(_Box(lx, ly), rung):
+            yield quad._streamed_sums(g, lambda sl: densities(g, sl))
+
     # a sum that overflows is inf, which check_two_level reports
     with np.errstate(over="ignore"):
-        sums = [quad._streamed_sums(g, lambda sl, g=g: densities(g, sl))
-                for g in quad.domain_grids(_Box(lx, ly), cfg)]
-    return tuple(zip(*sums))
+        return quad.climb(level_sums, cfg)
 
 
 def scaling_ratios(u: ScalarField, lam: float, pexp: float,
@@ -546,7 +555,8 @@ def scaling_ratios(u: ScalarField, lam: float, pexp: float,
     """Ratios ||u_lam||_p^p / ||u||_p^p and the weighted-gradient analogue,
     integrating u over the unit box and u_lam over its dilated image (the
     exact change of variables, so the expected ratios are lam**kappa and
-    lam**mu)."""
+    lam**mu), and under area_panels the higher of the two boxes' settled
+    (fine, coarse) panels."""
     for name, value in (("lam", lam), ("pexp", pexp)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -560,14 +570,15 @@ def scaling_ratios(u: ScalarField, lam: float, pexp: float,
     lx, ly = 1.0, 1.0
     lxd, lyd = lam ** coeffs.c1 * lx, lam ** coeffs.c2 * ly
 
-    lp_base, gr_base = _box_sums(u, lx, ly, pexp, params, cfg)
-    lp_dil, gr_dil = _box_sums(ul, lxd, lyd, pexp, params, cfg)
+    (lp_base, gr_base), base = _box_sums(u, lx, ly, pexp, params, cfg)
+    (lp_dil, gr_dil), dil = _box_sums(ul, lxd, lyd, pexp, params, cfg)
     lp_base, lp_dil, gr_base, gr_dil = (
-        check_two_level(fine, coarse, cfg, "box integral")
-        for fine, coarse in (lp_base, lp_dil, gr_base, gr_dil))
+        check_two_level(*sums, rung, "box integral")
+        for sums, rung in ((lp_base, base), (lp_dil, dil), (gr_base, base), (gr_dil, dil)))
     if lp_base == 0.0 or gr_base == 0.0:
         raise PreconditionViolated("u must not vanish identically on the box")
-    return {"lp_ratio": lp_dil / lp_base, "grad_ratio": gr_dil / gr_base}
+    return {"lp_ratio": lp_dil / lp_base, "grad_ratio": gr_dil / gr_base,
+            "area_panels": list(max(base.levels, dil.levels))}
 
 
 @_timed
@@ -580,7 +591,8 @@ def scaling_reports(u: ScalarField, lam: float, pexp: float,
     r = scaling_ratios(u, lam, pexp, co, cfg)
     return [_record(f"scaling-{name}", params, got, lam ** expo,
                     abs(got / lam ** expo - 1.0) <= 1e-9, field=to_prefix(u),
-                    sides={"lam": lam, "pexp": pexp}, note=f"expected lam**{expo}")
+                    sides={"lam": lam, "pexp": pexp},
+                    quad={"area_panels": r["area_panels"]}, note=f"expected lam**{expo}")
             for name, expo, got in (("lp", co.kappa, r["lp_ratio"]),
                                     ("grad", co.mu, r["grad_ratio"]))]
 

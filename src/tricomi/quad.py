@@ -3,7 +3,9 @@ charts, with a two-level refinement check.
 
 Every integral is evaluated on the configured panel count and on half as
 many panels; disagreement beyond the configured tolerances raises
-NonConvergence instead of returning a silently wrong number.
+NonConvergence instead of returning a silently wrong number.  With the
+panel count unset, an area check climbs a ladder of such pairs instead
+(climb) and every other integral takes the ladder's top pair.
 
 Boundary integrals use the convention form(x, y) -> (P, Q) meaning the
 differential P dx + Q dy along the positively oriented boundary, so the
@@ -12,7 +14,8 @@ outward flux of a vector field (Fx, Fy) is the form (-Fy, Fx).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -32,16 +35,22 @@ __all__ = [
     "integrate_boundary",
     "domain_grids",
     "curve_grids",
+    "climb",
     "check_two_level",
     "error_scale",
     "divergence_selftest",
 ]
 
 
+# fine panels per axis of the area ladder's rungs (climb); the top rung's
+# pair is the one every two-level sum takes when the panels are unset
+LADDER = (4, 8, 16, 32)
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     gauss_order: int = 16
-    panels_per_axis: int = 32
+    panels_per_axis: int | None = None   # unset: area checks climb the ladder
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
 
@@ -49,7 +58,8 @@ class QuadConfig:
         if not (isinstance(self.gauss_order, int) and self.gauss_order >= 2):
             raise ValueError("gauss_order must be an integer >= 2")
         # at 1 panel both levels are one grid, so a two-level check tests nothing
-        if not (isinstance(self.panels_per_axis, int) and self.panels_per_axis >= 2):
+        if not (self.panels_per_axis is None or (isinstance(self.panels_per_axis, int)
+                                                 and self.panels_per_axis >= 2)):
             raise ValueError("panels_per_axis must be an integer >= 2")
         # an infinite or NaN tolerance would let every check pass
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
@@ -58,8 +68,10 @@ class QuadConfig:
 
     @property
     def levels(self) -> tuple[int, int]:
-        """(fine, coarse) panels per axis of every two-level grid and sum."""
-        return self.panels_per_axis, self.panels_per_axis // 2
+        """(fine, coarse) panels per axis of every two-level grid and sum;
+        with the panels unset, the ladder's top pair."""
+        panels = LADDER[-1] if self.panels_per_axis is None else self.panels_per_axis
+        return panels, panels // 2
 
 
 def error_scale(a: float, b: float) -> float:
@@ -191,14 +203,52 @@ def _curve_level(charts, order: int, panels: int) -> GridLevel:
 
 
 # An area region is anything with area_charts(): a DomainSpec, the scaling
-# box or a test region.  Commands work on one region at a time, so one grid
-# pair is kept; its levels and their memos go with the next one.
+# box or a test region.  Commands work on one region at a time, so the
+# levels of one region are kept, one per (Gauss order, panels per axis):
+# its two-level pairs and its ladder rungs share them, and they and their
+# memos go when another region is asked for.
 
-@lru_cache(maxsize=1)
-def domain_grids(domain, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
-    """(fine, coarse) tensor grids covering the region, weights included."""
-    maps = [chart.fn for chart in domain.area_charts()]
-    return _two_levels(lambda panels: _tensor_level(maps, cfg.gauss_order, panels), cfg)
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _AreaGrids:
+    """domain_grids(domain, cfg): its levels at cfg.levels, as one tuple
+    per cfg.  cache_info() counts as a miss each call that built a level."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self):
+        self._region, self._levels, self._pairs = None, {}, {}
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, len(self._pairs))
+
+    def __call__(self, domain, cfg: QuadConfig) -> tuple[GridLevel, GridLevel]:
+        """(fine, coarse) tensor grids covering the region, weights included."""
+        if domain != self._region:
+            self._region, self._levels, self._pairs = domain, {}, {}
+        built = len(self._levels)
+        pair = self._pairs.get(cfg)
+        if pair is None:
+            pair = self._pairs[cfg] = _two_levels(
+                lambda panels: self._level(domain, cfg.gauss_order, panels), cfg)
+        if len(self._levels) > built:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return pair
+
+    def _level(self, domain, order: int, panels: int) -> GridLevel:
+        level = self._levels.get((order, panels))
+        if level is None:
+            maps = [chart.fn for chart in domain.area_charts()]
+            level = self._levels[order, panels] = _tensor_level(maps, order, panels)
+        return level
+
+
+domain_grids = _AreaGrids()
 
 
 @lru_cache(maxsize=128)
@@ -237,6 +287,40 @@ def _streamed_sums(level: GridLevel, kernel, keep: int = 0) -> tuple:
         for k, (out, part) in enumerate(zip(outs, parts)):
             out[sl] = part if k < keep else np.asarray(part, float) * w[sl]
     return (*outs[:keep], *(float(np.sum(out)) for out in outs[keep:]))
+
+
+# With the panels unset, an area check climbs the rungs (4, 2), (8, 4),
+# (16, 8), (32, 16) of LADDER at the configured Gauss order.  Each
+# rung's coarse level is the rung below's fine level, whose sums it reuses,
+# so a rung costs one new level.  Gauss-Legendre converges geometrically on
+# the smooth graded charts, and the check stops at the first rung where
+# every term has |fine - coarse| <= rel_tol |fine|: relative only, so a
+# term that sums to roundoff never stops it early.  The top rung is the
+# pair panels_per_axis = 32 gives, judged by check_two_level as that set
+# panel count is, so what settles there settles on the ladder.
+
+def _rungs(cfg: QuadConfig) -> list[QuadConfig]:
+    if cfg.panels_per_axis is not None:
+        return [cfg]
+    return [replace(cfg, panels_per_axis=panels) for panels in LADDER]
+
+
+def climb(level_sums, cfg: QuadConfig) -> tuple[list, QuadConfig]:
+    """The (fine, coarse) sums of an area check's terms at the rung where
+    they settled, and that rung as a config to check each pair at.
+    level_sums(rung) yields the terms' sums on the rung's fine level, then
+    on its coarse one, which is not asked for where the rung below summed
+    it.  A set panel count is the one rung."""
+    coarse = None
+    for rung in _rungs(cfg):
+        sums = level_sums(rung)
+        fine = next(sums)
+        if coarse is None:
+            coarse = next(sums)
+        if rung.levels == cfg.levels or all(abs(f - c) <= cfg.rel_tol * abs(f)
+                                            for f, c in zip(fine, coarse)):
+            return list(zip(fine, coarse)), rung
+        coarse = fine
 
 
 def integrate_domain(g, domain, cfg: QuadConfig) -> float:

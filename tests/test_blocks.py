@@ -13,8 +13,9 @@ import pytest
 
 from tricomi import identities, quad
 from tricomi.errors import DomainError
-from tricomi.field import (X, Y, Const, Div, D_from_jet, O_from_jet, energy_from_jet,
-                           manufactured, norm_from_jet, operator_weights)
+from tricomi.field import (X, Y, Const, Div, D_from_jet, O_from_jet, abs_power,
+                           energy_from_jet, manufactured, norm_from_jet,
+                           operator_weights)
 from tricomi.geometry import omega1
 from tricomi.identities import reference_domains
 from tricomi.params import (OperatorParams, coefficients, cubic_nonlinearity,
@@ -60,8 +61,9 @@ def test_a_jet_frees_its_points_without_the_garbage_collector(n):
 # ---------------------------------------------------------------------------
 # streamed area sums against whole-level arrays, compared as int64 views
 
-# several blocks on every level, not a whole number of them; and the default
-LEVEL_CFGS = [CFG, QuadConfig()]
+# several blocks on every level, not a whole number of them; and the ladder's
+# top pair, set explicitly so each area check is held to that one pair
+LEVEL_CFGS = [CFG, QuadConfig(panels_per_axis=32)]
 DOMS = reference_domains()
 CASES = [(c, d) for c in LEVEL_CFGS for d in DOMS]
 CASE_IDS = [f"{c.panels_per_axis}-{d.variant.value}" for c, d in CASES]
@@ -176,13 +178,52 @@ def test_identity_area_terms_equal_the_whole_level_functional(monkeypatch, cfg, 
                 assert _same_bits(got, ref), (which, got, ref)
 
 
+@pytest.mark.parametrize("dom", DOMS, ids=[d.variant.value for d in DOMS])
+def test_the_ladder_top_is_the_cap_pair_bit_for_bit(monkeypatch, dom):
+    # a rel_tol no two rungs meet makes the ladder climb to its top, whose
+    # coarse sums are the ones the rung below kept as its fine sums; each
+    # must equal the pair panels_per_axis = 32 sums, as int64 views.  The
+    # abs_tol lets both pairs pass their checks at any rel_tol
+    cap = QuadConfig(panels_per_axis=32, abs_tol=1.0)
+    top = QuadConfig(rel_tol=1e-300, abs_tol=1.0)
+    checked = []
+
+    def spy(fine, coarse, cfg, what="integral"):
+        if what in ("area functional", "box integral"):
+            checked.append((fine, coarse, cfg.levels))
+        return quad.check_two_level(fine, coarse, cfg, what)
+
+    monkeypatch.setattr(identities, "check_two_level", spy)
+    # sums of smooth fields can agree to the last bit on two rungs; these
+    # kink along the line y = mean y of the domain, and |box field|**2.5
+    # where the field crosses 0, so their sums converge algebraically
+    fine, _ = quad.domain_grids(dom, cap)
+    mean_y = float(np.sum(fine.weights[0] * fine.y) / np.sum(fine.weights[0]))
+    u = manufactured(dom) * abs_power(Y - Const(mean_y), 2.05)
+    box_field = (Const(1.0) - X ** 2) * (Const(1.0) - Y ** 2) * (X + Const(0.5))
+    sums = []
+    for cfg in (cap, top):
+        checked.clear()
+        reports = [identities.step1_residual(u, dom, cfg),
+                   identities.step3_residual(u, dom, cfg),
+                   identities.pohozaev_residual(u, cubic_nonlinearity(), dom, cfg)]
+        identities._box_sums.cache_clear()
+        identities.scaling_ratios(box_field, 2.0, 2.5, coefficients(dom.params), cfg)
+        assert [r.quad["area_panels"] for r in reports] == [[32, 16]] * 3
+        assert {levels for *_, levels in checked} == {(32, 16)}
+        sums.append([pair for *pair, _ in checked])
+    assert len(sums[0]) == 2 + 2 + 3 + 4
+    assert _same_bits(*sums)
+
+
 @pytest.mark.parametrize("cfg", LEVEL_CFGS, ids=[str(c.panels_per_axis) for c in LEVEL_CFGS])
 def test_box_sums_equal_the_whole_level_form(cfg):
     params = OperatorParams(1, 4)
     bump = (Const(1.0) - X ** 2) * (Const(1.0) - Y ** 2)
     for u, lx, ly, pexp in ((bump, 1.0, 1.0, 4.0), (bump * (X + Const(0.5)), 1.5, 0.25, 2.5)):
         identities._box_sums.cache_clear()
-        got = identities._box_sums(u, lx, ly, pexp, params, cfg)
+        got, rung = identities._box_sums(u, lx, ly, pexp, params, cfg)
+        assert rung is cfg   # a set panel count is the one rung
         want = [], []
         for g in quad.domain_grids(identities._Box(lx, ly), cfg):
             assert g.x.size > quad._BLOCK

@@ -600,20 +600,33 @@ def test_suite_selftest_and_sign_records_equal_the_python_records(tmp_path):
         manufactured(d, vanish_on=VANISH_AC_SIGMA), d) for d in claimed])
 
 
-@pytest.mark.parametrize("argv", [
-    ["domain", "--x0=-1e200"],
-    ["verify", "step1", "--x0=-1e120"],
-    ["scaling", "--m1", "1", "--m2", "4", "--lam", "1e200"],
-    ["scaling", "--m1", "1", "--m2", "4", "--lam", "1e-200"],
-    ["flow", "--m1", "1", "--m2", "4", "--x", "0.5", "--y", "0.5",
-     "--t-max=-1e300"],
-], ids=["domain", "verify", "scaling-large-lam", "scaling-small-lam", "flow"])
-def test_overflow_is_a_config_error(capsys, argv):
+_APEX_Y_OVERFLOWS = "error: omega1 anchor {}: apex y leaves the float range\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["domain", "--x0=-1e200"], _APEX_Y_OVERFLOWS.format(-1e200)),
+    (["verify", "step1", "--x0=-1e120"], _APEX_Y_OVERFLOWS.format(-1e120)),
+    (["domain", "--variant", "omega1", "--m1", "9", "--m2", "20", "--x0=-1e28"],
+     _APEX_Y_OVERFLOWS.format(-1e28)),
+    (["domain", "--variant", "omega3", "--m1", "9", "--m2", "20", "--y0=-1e300"],
+     "error: omega3 anchor -1e+300: apex x leaves the float range\n"),
+    (["scaling", "--m1", "1", "--m2", "4", "--lam", "1e200"], None),
+    (["scaling", "--m1", "1", "--m2", "4", "--lam", "1e-200"], None),
+    (["flow", "--m1", "1", "--m2", "4", "--x", "0.5", "--y", "0.5",
+      "--t-max=-1e300"], None),
+], ids=["domain", "verify", "domain-apex-omega1", "domain-apex-omega3",
+        "scaling-large-lam", "scaling-small-lam", "flow"])
+def test_overflow_is_a_config_error(capsys, argv, message):
     # exit 1 means a check failed its bound; an input beyond float range
-    # is a configuration error
+    # is a configuration error.  An apex out of range names its domain and
+    # coordinate; other overflows keep Python's own message
     assert run(argv) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: numeric overflow: ") and out == ""
+    assert out == ""
+    if message is None:
+        assert err.startswith("error: numeric overflow: ")
+    else:
+        assert err == message
 
 
 @pytest.mark.parametrize("argv, kept", [

@@ -8,16 +8,42 @@ import pytest
 from tricomi.errors import (CornerPoint, DomainError, OutOfRange,
                             ParityViolation)
 from tricomi.geometry import (BoundaryCurveId, DomainSpec, EllipticArc,
-                              ParametricArc, Point, Variant, Vec2,
-                              area_charts, boundary_charts, boundary_csv,
-                              boundary_svg,
-                              char_ode_residual, char_ode_residual_at,
-                              check_starshaped, contains, curve_point,
-                              endpoints, flow, natural_range, omega1, omega2,
-                              omega3, omega4, outward_normal, starlike_form)
+                              ParametricArc, Point, Variant, Vec2, _in_range,
+                              _natural, area_charts, boundary_charts,
+                              boundary_csv, boundary_svg, check_starshaped,
+                              contains, curve_point, endpoints, flow,
+                              natural_range, omega1, omega2, omega3, omega4,
+                              outward_normal, starlike_form)
 from tricomi.params import OperatorParams, coefficients
 
 B = BoundaryCurveId
+
+
+# the characteristic ODE residual, an oracle of the chart maps that only
+# these tests and the acceptance criteria read
+def char_ode_residual_at(params: OperatorParams, variant: Variant,
+                         x: float, y: float, slope: float) -> float:
+    """Characteristic ODE residual at a point.  slope is dy/dx for
+    omega1/omega2 (checks -y^m1 (y')^2 = x^m2) and dx/dy for omega3/omega4
+    (checks -y^m1 = x^m2 (x')^2)."""
+    # the slope term is squared as a whole: near the parabolic endpoints
+    # the power underflows while the slope overflows
+    m1, m2 = params.m1, params.m2
+    if variant in (Variant.OMEGA1, Variant.OMEGA2):
+        t = abs(y) ** (m1 / 2) * slope
+        return -math.copysign(1.0, y) ** m1 * t * t - x ** m2
+    t = abs(x) ** (m2 / 2) * slope
+    return -(y ** m1) - math.copysign(1.0, x) ** m2 * t * t
+
+
+def char_ode_residual(domain: DomainSpec, curve: BoundaryCurveId, s: float) -> float:
+    if curve is BoundaryCurveId.SIGMA:
+        raise DomainError("the ODE residual is defined on characteristics only")
+    s = _in_range(domain, curve, s, slack=1e-13, corner="ODE residual")
+    x, y, dx, dy = (float(v) for v in _natural(domain, curve).fn(s))
+    # dy/dx where the natural parameter is y, dx/dy where it is x
+    slope = dy / dx if domain.variant in (Variant.OMEGA1, Variant.OMEGA2) else dx / dy
+    return char_ode_residual_at(domain.params, domain.variant, x, y, slope)
 
 
 def fixtures():

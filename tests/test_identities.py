@@ -14,9 +14,9 @@ from tricomi import identities, quad
 from tricomi.errors import (DegenerateDenominator, NonConvergence, OutOfRange,
                             PreconditionViolated)
 from tricomi.field import (X, Y, Const, Jet2, SampleFn1D, ScalarField,
-                           VANISH_AC, manufactured)
+                           VANISH_AC, VANISH_AC_SIGMA, abs_power, manufactured)
 from tricomi.geometry import (BoundaryCurveId, ParametricArc, Point, Vec2,
-                              omega1, omega4)
+                              omega1, omega3, omega4)
 from tricomi.identities import (HardyParams, IdentityReport, boundary_energy_I,
                                 equivalence_chain, hardy_GL, hardy_GL_numeric,
                                 hardy_constants, hardy_inequality_check,
@@ -384,6 +384,79 @@ def test_identities_honor_quad_config():
     rep = step3_residual(manufactured(dom), dom, cfg=cfg)
     assert rep.quad["gauss_order"] == 6
     assert rep.rel_err <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the area ladder: unset panels climb (4, 2), ..., (32, 16)
+
+CAP = QuadConfig(panels_per_axis=32)
+
+
+def _kinked(dom, amplitude):
+    # u_yy ~ |y + 1/4|**0.05 across the domain: the area terms converge
+    # algebraically, so no two rungs agree to rel_tol
+    base = manufactured(dom, vanish_on=VANISH_AC_SIGMA)
+    return Const(amplitude) * base * abs_power(Y + Const(0.25), 2.05)
+
+
+def test_a_term_that_never_settles_climbs_to_the_cap_pair_and_fails_there():
+    dom = omega1(1, 4, -0.5)
+    u = _kinked(dom, 1e3)
+    errors = []
+    for cfg in (QuadConfig(), CAP):
+        with pytest.raises(NonConvergence) as e:
+            step1_residual(u, dom, cfg)
+        errors.append(e.value)
+    ladder, cap = errors
+    assert str(ladder) == str(cap)
+    assert "area functional did not settle" in str(ladder)
+    assert "(panels 32 vs 16)" in str(ladder) and ladder.panels == (32, 16)
+
+
+def test_the_ladder_builds_each_level_once_and_shares_the_cap_pair(monkeypatch):
+    dom = omega1(1, 4, -0.5)
+    quad.domain_grids.cache_clear()
+    identities._ensure_oriented.cache_clear()
+    built = []
+    tensor_level = quad._tensor_level
+    monkeypatch.setattr(quad, "_tensor_level", lambda maps, order, panels:
+                        built.append(panels) or tensor_level(maps, order, panels))
+    u = _kinked(dom, 1.0)
+    rep = step1_residual(u, dom)   # the self-test's pair, then every rung
+    assert rep.quad["area_panels"] == [32, 16]
+    assert sorted(built) == [2, 4, 8, 16, 32]
+    fine, coarse = quad.domain_grids(dom, QuadConfig())
+    # the rungs' parts of u are kept on the self-test's two levels
+    assert u in fine.memo and u in coarse.memo
+    assert quad.domain_grids(dom, CAP) == (fine, coarse)
+    assert quad.domain_grids(dom, QuadConfig(panels_per_axis=16))[0] is coarse
+    assert len(built) == 5
+
+
+def test_a_smooth_check_stops_on_a_low_rung_within_rel_tol_of_the_cap():
+    dom = omega1(1, 4, -0.5)
+    u = manufactured(dom, vanish_on=VANISH_AC_SIGMA)
+    ladder, cap = (step3_residual(u, dom, cfg) for cfg in (QuadConfig(), CAP))
+    assert ladder.quad["area_panels"][0] < 32 and cap.quad["area_panels"] == [32, 16]
+    for a, b in ((ladder.lhs, cap.lhs), *zip(ladder.sides.values(), cap.sides.values())):
+        assert abs(a - b) <= 1e-9 * abs(b)
+
+
+@pytest.mark.parametrize("which", ["step2", "pohozaev"])
+def test_the_non_smooth_power_keeps_its_cap_values_and_verdict(which):
+    # f(s) = s |s|**1.5 is not smooth at u = 0, where omega3's field crosses
+    dom = omega3(1, 4, -0.5)
+    nl = power_nonlinearity(2.5)
+    base = manufactured(dom, vanish_on=VANISH_AC_SIGMA)
+    run = step2_residual if which == "step2" else pohozaev_residual
+    for u in (base, base * (Const(1.0) + X / 2 - Y / 3)):
+        ladder, cap = (run(u, nl, dom, cfg) for cfg in (QuadConfig(), CAP))
+        assert ladder.passed == cap.passed
+        pairs = [(ladder.lhs, cap.lhs), (ladder.rhs, cap.rhs),
+                 (ladder.defect, cap.defect),
+                 *zip(ladder.sides.values(), cap.sides.values())]
+        for a, b in pairs:
+            assert abs(a - b) <= 1e-9 * abs(b)
 
 
 # ---------------------------------------------------------------------------

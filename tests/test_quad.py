@@ -51,9 +51,10 @@ class UnitSquare:
 
 def test_quad_config_validation():
     cfg = QuadConfig()
-    assert cfg.gauss_order == 16 and cfg.panels_per_axis == 32
+    # unset panels: area checks climb the ladder, every other sum takes its top
+    assert cfg.gauss_order == 16 and cfg.panels_per_axis is None
     assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-9
-    assert cfg.levels == (32, 16)
+    assert cfg.levels == (32, 16) == QuadConfig(panels_per_axis=32).levels
     assert QuadConfig(panels_per_axis=2).levels == (2, 1)
     with pytest.raises(ValueError):
         QuadConfig(gauss_order=0)
