@@ -294,10 +294,11 @@ def _streamed_sums(level: GridLevel, kernel, keep: int = 0) -> tuple:
 # rung's coarse level is the rung below's fine level, whose sums it reuses,
 # so a rung costs one new level.  Gauss-Legendre converges geometrically on
 # the smooth graded charts, and the check stops at the first rung where
-# every term has |fine - coarse| <= rel_tol |fine|: relative only, so a
-# term that sums to roundoff never stops it early.  The top rung is the
-# pair panels_per_axis = 32 gives, judged by check_two_level as that set
-# panel count is, so what settles there settles on the ladder.
+# every term has a finite fine sum and |fine - coarse| <= rel_tol |fine|:
+# relative only, so a term that sums to roundoff never stops it early, and
+# an infinite fine sum, which meets that bound, never does.  The top rung
+# is the pair panels_per_axis = 32 gives, judged by check_two_level as that
+# set panel count is, so what settles there settles on the ladder.
 
 def _rungs(cfg: QuadConfig) -> list[QuadConfig]:
     if cfg.panels_per_axis is not None:
@@ -317,8 +318,9 @@ def climb(level_sums, cfg: QuadConfig) -> tuple[list, QuadConfig]:
         fine = next(sums)
         if coarse is None:
             coarse = next(sums)
-        if rung.levels == cfg.levels or all(abs(f - c) <= cfg.rel_tol * abs(f)
-                                            for f, c in zip(fine, coarse)):
+        if rung.levels == cfg.levels or all(
+                math.isfinite(f) and abs(f - c) <= cfg.rel_tol * abs(f)
+                for f, c in zip(fine, coarse)):
             return list(zip(fine, coarse)), rung
         coarse = fine
 

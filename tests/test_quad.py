@@ -105,6 +105,17 @@ def test_check_two_level_rejects_non_finite_levels():
             check_two_level(fine, coarse, cfg)
 
 
+def test_an_infinite_sum_does_not_stop_the_ladder():
+    # |inf - c| <= rel_tol |inf| holds, so an overflowed fine sum on a low
+    # rung must not settle there; the sums below agree first at (16, 8)
+    def level_sums(rung):
+        yield (math.inf if rung.panels_per_axis == 4 else 1.0,)
+        yield (1.0,)
+
+    pairs, rung = quad.climb(level_sums, QuadConfig())
+    assert rung.levels == (16, 8) and pairs == [(1.0, 1.0)]
+
+
 def test_level_sum_equals_whole_array_sums_bit_for_bit():
     rng = np.random.default_rng(7)
     f, p, q, w, wx, wy = rng.uniform(-1.0, 1.0, (6, 3001))
