@@ -191,16 +191,19 @@ class _LevelMemo:
         return _CacheInfo(self.hits, self.misses)
 
 
+def _block_parts(g, u, params, sl) -> _AreaParts:
+    """u, Du, Ou and the energy density E on the block sl of level g, from
+    the block's second-order jet and weights."""
+    x, y = g.x[sl], g.y[sl]
+    j, w = u.jet(x, y), operator_weights(params, x, y)
+    return _AreaParts(j.u, D_from_jet(coefficients(params), j, x, y),
+                      O_from_jet(j, w), energy_from_jet(j, w))
+
+
 def _area_parts(g, u, params) -> _AreaParts:
-    # one streamed pass: a block's second-order jet and weights go with it
-    co = coefficients(params)
-
-    def kernel(sl):
-        x, y = g.x[sl], g.y[sl]
-        j, w = u.jet(x, y), operator_weights(params, x, y)
-        return j.u, D_from_jet(co, j, x, y), O_from_jet(j, w), energy_from_jet(j, w)
-
-    return _kept(g, u, lambda: _AreaParts(*quad._streamed_sums(g, kernel, keep=3)))
+    # one streamed pass: a block's jet goes with it
+    return _kept(g, u, lambda: _AreaParts(*quad._streamed_sums(
+        g, lambda sl: _block_parts(g, u, params, sl), keep=3)))
 
 
 def _curve_jet(g, u, params) -> tuple:
@@ -221,10 +224,30 @@ def _area_terms(u, domain, cfg, densities, nonlin=None, energy=False) -> tuple:
     block sl from the level's kept parts p, in one pass per area level, at
     the rung where they settled (quad.climb), and that rung.  Given nonlin,
     the sums of F(u) come first, kept per (u, nonlin) on the level; given
-    energy, the kept sum of E comes last.  The caller checks each pair."""
+    energy, the kept sum of E comes last.  On the ladder's top rung p holds
+    one block's parts and sl takes all of them.  The caller checks each
+    pair."""
     key = (u, nonlin)
 
+    def streamed_sums(rung):
+        # the ladder's top rung: its terms did not settle on any rung below,
+        # and a check reads its fine level once, so that level keeps no
+        # parts; a block's parts go with the block.  A check that climbs
+        # there holds no level-sized array more than one that stops a rung
+        # below
+        for g in quad.domain_grids(domain, rung):
+            def kernel(sl, g=g):
+                p = _block_parts(g, u, domain.params, sl)
+                head = () if nonlin is None else (np.asarray(nonlin.F(p.u), float),)
+                tail = (p.energy,) if energy else ()
+                return (*head, *densities(p, slice(None)), *tail)
+
+            yield quad._streamed_sums(g, kernel)
+
     def level_sums(rung):
+        if rung != cfg and rung.levels == cfg.levels:
+            yield from streamed_sums(rung)
+            return
         for g, p in _area_jets(u, domain, rung):
             if nonlin is None or key in g.memo:
                 sums = quad._streamed_sums(g, lambda sl: densities(p, sl))

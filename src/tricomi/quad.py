@@ -270,23 +270,45 @@ _BLOCK = 1 << 14
 
 def _streamed_sums(level: GridLevel, kernel, keep: int = 0) -> tuple:
     """Level sums of densities, streamed: kernel(sl) returns a tuple of
-    arrays on the points level.x[sl], level.y[sl], for one block sl of
-    _BLOCK points at a time.  Each result is written into its own output of
-    the level's length.  The first keep come back as those whole-level
-    arrays; each other one is a density (a scalar broadcasts) times the
-    level's weights, reduced by one np.sum over its output, bit for bit
-    _level_sum([d], level.weights) of the whole-level d.  Adding per-block
-    sums would round otherwise."""
+    arrays on the points level.x[sl], level.y[sl], for one block sl of at
+    most _BLOCK points at a time.  The first keep are written into outputs
+    of the level's length and come back as those whole-level arrays; each
+    other one is a density (a scalar broadcasts) times the level's weights,
+    summed bit for bit as _level_sum([d], level.weights) of the whole-level
+    d, with no array of the level's length.
+
+    np.sum of n contiguous doubles is 0.0 plus numpy's pairwise sum: for
+    n > 128, the sum of the first n // 2 rounded down to a multiple of 8
+    plus the sum of the rest.  The blocks are that split's pieces, each
+    summed by np.sum, and their sums are added back up the same tree.  The
+    0.0 each block's np.sum adds can only turn a -0.0 into 0.0, which no
+    sum up the tree tells apart once 0.0 is added at the top.  Adding sums
+    of other blocks would round otherwise."""
     (w,) = level.weights
     outs = None
-    for start in range(0, level.x.size, _BLOCK):
-        sl = slice(start, start + _BLOCK)
+
+    def block_sums(sl: slice) -> list:
+        nonlocal outs
         parts = kernel(sl)
         if outs is None:
-            outs = [np.empty(level.x.size) for _ in parts]
-        for k, (out, part) in enumerate(zip(outs, parts)):
-            out[sl] = part if k < keep else np.asarray(part, float) * w[sl]
-    return (*outs[:keep], *(float(np.sum(out)) for out in outs[keep:]))
+            outs = [np.empty(level.x.size) for _ in parts[:keep]]
+        for out, part in zip(outs, parts):
+            out[sl] = part
+        return [np.sum(np.asarray(part, float) * w[sl]) for part in parts[keep:]]
+
+    sums = _pairwise(0, level.x.size, block_sums)   # fills outs
+    return (*outs, *(float(s) for s in sums))
+
+
+def _pairwise(start: int, n: int, block_sums) -> list:
+    # a module function: a nested one that calls itself would sit in a
+    # reference cycle with the outputs it writes, so they would wait for
+    # the garbage collector
+    if n <= _BLOCK:
+        return block_sums(slice(start, start + n))
+    half = n // 2 - (n // 2) % 8
+    left = _pairwise(start, half, block_sums)
+    return [a + b for a, b in zip(left, _pairwise(start + half, n - half, block_sums))]
 
 
 # With the panels unset, an area check climbs the rungs (4, 2), (8, 4),

@@ -89,6 +89,40 @@ def _fields(dom, cfg):
     return [base, base * (Const(1.0) + X / 2 - Y / 3)]
 
 
+def _streamed_sum(v, w) -> float:
+    level = quad.GridLevel(v, v, (w,))
+    kept, got = quad._streamed_sums(level, lambda sl: (v[sl], v[sl]), keep=1)
+    assert _same_bits(kept, v)
+    assert type(got) is float
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 100, quad._BLOCK, quad._BLOCK + 9,
+                               3 * quad._BLOCK + 5, 7 * quad._BLOCK - 13])
+def test_streamed_sums_follow_numpys_pairwise_sum(n):
+    # the grid levels' sizes halve to multiples of 8 all the way down;
+    # these do not
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * np.exp(rng.uniform(-70.0, 70.0, n))
+    w = rng.uniform(0.5, 1.5, n)
+    assert _same_bits(_streamed_sum(v, w), np.sum(v * w))
+
+
+def test_streamed_sums_split_where_numpy_does():
+    # numpy splits n = 3 * 2^14 + 5 values at n // 2 - 2: the two ones after
+    # that point meet each other before they meet 2^53, so neither is
+    # rounded away, as both would be in a split at n // 2
+    n = 3 * quad._BLOCK + 5
+    half = n // 2 - 2
+    v = np.zeros(n)
+    v[[0, half + 1, half + 2]] = 2.0 ** 53, 1.0, 1.0
+    assert np.sum(v) == 2.0 ** 53 + 2.0
+    assert _same_bits(_streamed_sum(v, np.ones(n)), np.sum(v))
+    # np.sum turns a sum of -0.0 into 0.0, and so do the blocks
+    zeros = np.full(n, -0.0)
+    assert _same_bits(_streamed_sum(zeros, np.ones(n)), np.sum(zeros))
+
+
 @pytest.mark.parametrize("cfg, dom", CASES, ids=CASE_IDS)
 def test_streamed_sums_equal_the_whole_level_sum(cfg, dom):
     def poly(x, y):
@@ -235,9 +269,9 @@ def test_box_sums_equal_the_whole_level_form(cfg):
 
 def test_a_cold_area_pass_peaks_near_its_kept_parts():
     # the path every command takes: the parts an area level keeps are
-    # written block by block, so past them a pass holds one level-sized
-    # output and one block's temporaries (a whole-level second-order jet
-    # of this field would peak at about 71 MB)
+    # written block by block and the energy is summed block by block, so
+    # past them a pass holds one block's temporaries (a whole-level
+    # second-order jet of this field would peak at about 71 MB)
     dom = omega1(1, 4, -0.5)
     cfg = QuadConfig()
     u = manufactured(dom)
@@ -252,6 +286,33 @@ def test_a_cold_area_pass_peaks_near_its_kept_parts():
     kept = sum(a.nbytes for _, p in levels for a in (p.u, p.Du, p.Ou))
     assert kept == 3 * 8 * sum(g.x.size for g, _ in levels)
     assert peak <= kept + fine.x.nbytes + 2 * 2 ** 20, (peak, kept)
+
+
+def test_a_check_that_climbs_to_the_top_keeps_nothing_of_its_fine_level():
+    # the top rung's fine level is read once, block by block: past the
+    # parts the rungs below keep, a climbing check holds less than one
+    # array of that level's size (keeping u, Du and Ou there, as the rungs
+    # below do, peaked about 16 MB higher on this domain)
+    dom = omega1(1, 4, -0.5)
+    cfg = QuadConfig()
+    u = manufactured(dom) * abs_power(Y + Const(0.25), 2.05)   # never settles
+    quad.domain_grids.cache_clear()
+    identities._ensure_oriented(dom, cfg)   # the top pair, built before
+    fine, _ = quad.domain_grids(dom, cfg)
+    tracemalloc.start()
+    try:
+        report = identities.step1_residual(u, dom, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.quad["area_panels"] == [32, 16]
+    assert u not in fine.memo
+    below = {id(g): g for panels in quad.LADDER[:-1]
+             for g in quad.domain_grids(dom, QuadConfig(panels_per_axis=panels))}
+    kept = sum(a.nbytes for g in below.values() if u in g.memo
+               for a in (g.memo[u].u, g.memo[u].Du, g.memo[u].Ou))
+    assert kept == 3 * 8 * sum(g.x.size for g in below.values())
+    assert peak < kept + fine.x.nbytes, (peak, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -426,8 +426,9 @@ def test_the_ladder_builds_each_level_once_and_shares_the_cap_pair(monkeypatch):
     assert rep.quad["area_panels"] == [32, 16]
     assert sorted(built) == [2, 4, 8, 16, 32]
     fine, coarse = quad.domain_grids(dom, QuadConfig())
-    # the rungs' parts of u are kept on the self-test's two levels
-    assert u in fine.memo and u in coarse.memo
+    # the rungs below the top keep their parts of u, the self-test's coarse
+    # level among them; the top's fine level, read once, keeps none
+    assert u not in fine.memo and u in coarse.memo
     assert quad.domain_grids(dom, CAP) == (fine, coarse)
     assert quad.domain_grids(dom, QuadConfig(panels_per_axis=16))[0] is coarse
     assert len(built) == 5
